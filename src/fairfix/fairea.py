@@ -47,7 +47,6 @@ class TradeoffBaseline:
     a0: float
     points: tuple[tuple[float, TradeoffPoint], ...]
     repetitions: int
-    replacement: int | None
     seed: int
 
     def to_json(self) -> str:
@@ -78,7 +77,6 @@ class TradeoffBaseline:
                 for row in payload["points"]
             ),
             repetitions=payload["repetitions"],
-            replacement=None,  # not part of the file format
             seed=payload["seed"],
         )
 
@@ -149,7 +147,6 @@ def build_baseline(
         a0=a0,
         points=tuple(points),
         repetitions=repetitions,
-        replacement=fp.train_majority,
         seed=seed,
     )
 

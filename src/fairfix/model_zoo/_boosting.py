@@ -13,6 +13,26 @@ from ..tabular import round_half_up
 _LEAF_CLIP = 10.0
 
 
+class _StageTree(RegressionTree):
+    """A stage tree grown on the residuals g; each leaf takes one Newton
+    step on the logistic loss over its training rows."""
+
+    def __init__(self, max_depth):
+        super().__init__(max_depth, min_leaf=1)
+
+    def fit(self, X, g, hess):
+        # hess is needed only while the leaves are set, so it is not kept
+        self._hess = hess
+        try:
+            return super().fit(X, g)
+        finally:
+            del self._hess
+
+    def _leaf_value(self, g, rows):
+        v = g[rows].sum() / max(self._hess[rows].sum(), 1e-12)
+        return float(min(max(v, -_LEAF_CLIP), _LEAF_CLIP))
+
+
 class GradientBoostingModel:
     def __init__(self, stages, learning_rate, max_depth, subsample):
         self.stages = stages
@@ -38,17 +58,8 @@ class GradientBoostingModel:
                 rows = np.sort(rng.choice(n, size=m, replace=False))
             else:
                 rows = np.arange(n)
-            tree = RegressionTree(self.max_depth, min_leaf=1)
-            tree.fit(X[rows], resid[rows])
-            # newton step per leaf on the subsample it was grown from
-            ids = tree.apply(X[rows])
             hess = prob[rows] * (1.0 - prob[rows])
-            for leaf in tree.leaves:
-                mask = ids == leaf.leaf_id
-                g = resid[rows][mask].sum()
-                h = hess[mask].sum()
-                v = g / max(h, 1e-12)
-                leaf.value = float(np.clip(v, -_LEAF_CLIP, _LEAF_CLIP))
+            tree = _StageTree(self.max_depth).fit(X[rows], resid[rows], hess)
             F = F + self.learning_rate * tree.predict(X)
             if not np.isfinite(F).all():
                 raise NumericOverflow("boosting scores overflowed")

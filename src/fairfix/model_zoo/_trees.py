@@ -1,55 +1,20 @@
-"""CART-style trees and a bagged forest, built on a shared vectorized splitter."""
+"""CART-style trees and a bagged forest.
+
+Splits are exact: a node scores every cut between distinct sorted values of
+every candidate feature, and ties go to the first feature in candidate
+order, then to the first cut. One 2-D pass sorts a node's rows by all its
+candidate features at once and scores every feature and cut. A fitted tree
+is a set of flat per-node arrays that `predict` walks one depth level at a
+time.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value", "leaf_id")
-
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = 0.0
-        self.leaf_id = -1
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-
-def _child_impurity(ts, n, min_leaf, criterion):
-    """Weighted child impurity at every cut position (cut i: left = 0..i).
-
-    Returns (scores, valid_mask) over positions 0..n-2; the caller masks
-    positions where the sorted values are equal.
-    """
-    ln = np.arange(1, n)
-    rn = n - ln
-    if criterion in ("gini", "entropy"):
-        lp = np.cumsum(ts)[:-1]
-        rp = ts.sum() - lp
-        pl = lp / ln
-        pr = rp / rn
-        if criterion == "gini":
-            il = 2.0 * pl * (1.0 - pl)
-            ir = 2.0 * pr * (1.0 - pr)
-        else:
-            il = _binary_entropy(pl)
-            ir = _binary_entropy(pr)
-    else:  # variance
-        ls = np.cumsum(ts)[:-1]
-        lq = np.cumsum(ts * ts)[:-1]
-        rs = ts.sum() - ls
-        rq = (ts * ts).sum() - lq
-        il = np.maximum(lq / ln - (ls / ln) ** 2, 0.0)
-        ir = np.maximum(rq / rn - (rs / rn) ** 2, 0.0)
-    scores = (ln * il + rn * ir) / n
-    valid = (ln >= min_leaf) & (rn >= min_leaf)
-    return scores, valid
+# one scoring pass takes at most this many sorted values; wider nodes are
+# scored a group of features at a time, which bounds their working memory
+_PASS_VALUES = 1 << 16
 
 
 def _binary_entropy(p):
@@ -60,120 +25,174 @@ def _binary_entropy(p):
     return out
 
 
-def _best_split(X, target, idx, feats, min_leaf, criterion):
-    """Best (feature, threshold) over feats for rows idx, or None.
+def _cut_scores(V, T, min_leaf, criterion):
+    """Weighted child impurity at every cut of every row, inf where invalid.
 
-    Ties resolve to the first feature in feats order and the first cut
-    position, which keeps tree construction deterministic.
+    V and T are (k, m): a node's values and targets sorted by each row's
+    feature. Cut i puts sorted positions 0..i left; it is valid when it
+    falls between distinct values and leaves min_leaf rows on each side.
     """
-    n = idx.size
-    best_score = np.inf
-    best = None
-    for j in feats:
-        v = X[idx, j]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        ts = target[idx[order]]
-        scores, valid = _child_impurity(ts, n, min_leaf, criterion)
-        valid &= vs[1:] != vs[:-1]
-        if not valid.any():
-            continue
-        scores = np.where(valid, scores, np.inf)
-        i = int(np.argmin(scores))
-        if scores[i] < best_score:
-            best_score = scores[i]
-            best = (int(j), float((vs[i] + vs[i + 1]) / 2.0))
+    m = V.shape[1]
+    ln = np.arange(1, m)
+    rn = m - ln
+    # in-place steps keep the arithmetic of the per-feature expressions
+    # il = max(lq/ln - (ls/ln)**2, 0) and scores = (ln*il + rn*ir)/m
+    if criterion == "variance":
+        Q = T * T
+        ls = np.cumsum(T, axis=1)[:, :-1]
+        lq = np.cumsum(Q, axis=1)[:, :-1]
+        rs = T.sum(axis=1, keepdims=True) - ls
+        rq = Q.sum(axis=1, keepdims=True) - lq
+        il, ir = lq / ln, rq / rn
+        ls /= ln
+        rs /= rn
+        il -= ls * ls
+        ir -= rs * rs
+        np.maximum(il, 0.0, out=il)
+        np.maximum(ir, 0.0, out=ir)
+    else:
+        lp = np.cumsum(T, axis=1)[:, :-1]
+        rp = T.sum(axis=1, keepdims=True) - lp
+        pl = lp / ln
+        pr = rp / rn
+        if criterion == "gini":
+            il = 2.0 * pl * (1.0 - pl)
+            ir = 2.0 * pr * (1.0 - pr)
+        else:  # entropy
+            il = _binary_entropy(pl)
+            ir = _binary_entropy(pr)
+    il *= ln
+    ir *= rn
+    il += ir
+    il /= m
+    il[V[:, 1:] == V[:, :-1]] = np.inf
+    il[:, : min_leaf - 1] = np.inf
+    il[:, m - min_leaf :] = np.inf
+    return il
+
+
+def _best_split(X, target, rows, feats, min_leaf, criterion):
+    """Best (feature, threshold) over feats for one node, or None.
+
+    X is the C-contiguous training matrix and rows lists the node's rows in
+    ascending order. A pass gathers a group of features as a (k, m) array
+    and sorts each row stably, so equal values keep row order. Ties resolve
+    to the first feature in feats order and the first cut position, which
+    keeps tree construction deterministic.
+    """
+    m, d = rows.size, X.shape[1]
+    step = max(1, _PASS_VALUES // m)
+    best, best_score = None, np.inf
+    for lo in range(0, len(feats), step):
+        part = feats[lo : lo + step, None]
+        # row r of order lists the node's rows sorted by feature part[r]
+        order = rows[np.argsort(X.ravel()[rows * d + part], axis=1, kind="stable")]
+        # the gathers are C-contiguous, so each sum along the last axis is
+        # numpy's pairwise sum, bit-equal to summing one feature's 1-D slice
+        V = X.ravel()[order * d + part]
+        scores = _cut_scores(V, target[order], min_leaf, criterion)
+        # NaN scores come only from non-finite or overflowing targets, which
+        # leave no finite score in any feature: a NaN pick loses to best_score
+        r, i = divmod(int(np.argmin(scores)), m - 1)
+        if scores[r, i] < best_score:  # strict, so an earlier feature keeps a tie
+            best_score = scores[r, i]
+            best = int(part[r, 0]), float((V[r, i] + V[r, i + 1]) / 2.0)
     return best
 
 
 class _Tree:
-    """Shared growth/prediction machinery; subclasses set leaf values."""
+    """Shared growth/prediction machinery; subclasses set leaf values.
+
+    Node 0 is the root and nodes are numbered depth-first, left child
+    first. A leaf has feature -1 and is its own left and right child, so a
+    walk that reaches it stays there.
+    """
 
     def __init__(self, max_depth, min_leaf, criterion):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.criterion = criterion
-        self.root = None
-        self.leaves = []
         self.n_features = 0
+        self.depth = 0
+        self.feature = self.threshold = self.left = self.right = self.value = None
 
-    def _leaf_value(self, t):
-        raise NotImplementedError
-
-    def _is_pure(self, t):
+    def _leaf_value(self, target, rows):
+        """Value of a leaf from its training rows, given in ascending order."""
         raise NotImplementedError
 
     def fit(self, X, target, rng=None, max_features=None):
-        X = np.asarray(X, dtype=np.float64)
+        """Grow the tree on (X, target); `rng` draws `max_features`
+        candidate features at every split node."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
-        self.n_features = X.shape[1]
-        self.leaves = []
-        self.root = self._grow(X, target, np.arange(len(target)), 0, rng, max_features)
+        n, d = X.shape
+        self.n_features = d
+        every = np.arange(d)
+        drawn = max_features is not None and max_features < d
+        feature, threshold, left, right, value = [], [], [], [], []
+        deepest = 0
+        # depth-first, left child first; a right child sets right[parent].
+        # A node holds its rows in ascending order, as do its children.
+        stack = [(np.arange(n), 0, -1)]
+        while stack:
+            rows, depth, parent = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                right[parent] = node
+            deepest = max(deepest, depth)
+            t = target[rows]
+            best = None
+            if not (
+                depth >= self.max_depth
+                or rows.size < 2 * self.min_leaf
+                or t.min() == t.max()
+            ):
+                if drawn:
+                    feats = np.sort(rng.choice(d, size=max_features, replace=False))
+                else:
+                    feats = every
+                best = _best_split(X, target, rows, feats, self.min_leaf, self.criterion)
+            if best is None:
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(node)
+                right.append(node)
+                value.append(self._leaf_value(target, rows))
+                continue
+            j, thr = best
+            feature.append(j)
+            threshold.append(thr)
+            left.append(node + 1)
+            right.append(-1)
+            value.append(0.0)
+            goes_left = X[rows, j] <= thr
+            stack.append((rows[~goes_left], depth + 1, node))
+            stack.append((rows[goes_left], depth + 1, -1))
+        self.depth = deepest
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=np.float64)
         return self
-
-    def _grow(self, X, target, idx, depth, rng, max_features):
-        node = _Node()
-        t = target[idx]
-        if (
-            depth >= self.max_depth
-            or idx.size < 2 * self.min_leaf
-            or self._is_pure(t)
-        ):
-            return self._make_leaf(node, t)
-        d = X.shape[1]
-        if max_features is None or max_features >= d:
-            feats = range(d)
-        else:
-            feats = np.sort(rng.choice(d, size=max_features, replace=False))
-        best = _best_split(X, target, idx, feats, self.min_leaf, self.criterion)
-        if best is None:
-            return self._make_leaf(node, t)
-        node.feature, node.threshold = best
-        mask = X[idx, node.feature] <= node.threshold
-        node.left = self._grow(X, target, idx[mask], depth + 1, rng, max_features)
-        node.right = self._grow(X, target, idx[~mask], depth + 1, rng, max_features)
-        return node
-
-    def _make_leaf(self, node, t):
-        node.value = self._leaf_value(t)
-        node.leaf_id = len(self.leaves)
-        self.leaves.append(node)
-        return node
-
-    def _walk(self, node, X, idx, out, attr):
-        if node.is_leaf:
-            out[idx] = getattr(node, attr)
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        self._walk(node.left, X, idx[mask], out, attr)
-        self._walk(node.right, X, idx[~mask], out, attr)
 
     def predict(self, X):
         X = np.asarray(X, dtype=np.float64)
-        out = np.zeros(len(X))
-        self._walk(self.root, X, np.arange(len(X)), out, "value")
-        return out
-
-    def apply(self, X):
-        """Leaf id per row."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros(len(X), dtype=np.int64)
-        self._walk(self.root, X, np.arange(len(X)), out, "leaf_id")
-        return out
+        r = np.arange(len(X))
+        node = np.zeros(len(X), dtype=np.intp)
+        for _ in range(self.depth):
+            goes_left = X[r, self.feature[node]] <= self.threshold[node]
+            node = np.where(goes_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 class ClassificationTree(_Tree):
     def __init__(self, max_depth, min_leaf, criterion="gini"):
         super().__init__(max_depth, min_leaf, criterion)
 
-    def _leaf_value(self, t):
+    def _leaf_value(self, target, rows):
         # majority label, ties to 1
-        return 1.0 if t.mean() >= 0.5 else 0.0
-
-    def _is_pure(self, t):
-        return t.min() == t.max()
+        return 1.0 if target[rows].mean() >= 0.5 else 0.0
 
     def predict(self, X):
         return super().predict(X).astype(np.int8)
@@ -183,11 +202,8 @@ class RegressionTree(_Tree):
     def __init__(self, max_depth, min_leaf):
         super().__init__(max_depth, min_leaf, "variance")
 
-    def _leaf_value(self, t):
-        return float(t.mean())
-
-    def _is_pure(self, t):
-        return t.min() == t.max()
+    def _leaf_value(self, target, rows):
+        return float(target[rows].mean())
 
 
 class RandomForestModel:

@@ -26,6 +26,7 @@ from .model_zoo import (
     component_rank,
     default_space,
 )
+from .smbo import trial_cost
 from .tabular import DataCharacteristics, Dataset, characteristics
 
 DB_VERSION = "fairfix-db/1"
@@ -255,7 +256,7 @@ def build_entry(
         beta = result.state.beta
         ranked = sorted(
             result.log.ok_records(),
-            key=lambda r: (beta * r.bias + (1.0 - beta) * (1.0 - r.accuracy), r.index),
+            key=lambda r: (trial_cost(beta, r.bias, r.accuracy), r.index),
         )
         chosen.extend(r.config for r in ranked[: bcfg.top_k])
 

@@ -67,7 +67,7 @@ def cost(beta: float, f: float, a: float) -> float:
         raise ValueError(f"bias score must be >= 0, got {f}")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"accuracy must be in [0,1], got {a}")
-    return beta * f + (1.0 - beta) * (1.0 - a)
+    return smbo.trial_cost(beta, f, a)
 
 
 def pseudo_cost(beta: float, a0: float) -> float:

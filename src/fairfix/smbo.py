@@ -39,6 +39,11 @@ CANDIDATES = 500
 FAILED_TRIAL_CAUSES = (NumericOverflow, UndefinedRate, NonPositiveDI)
 
 
+def trial_cost(beta: float, bias: float, accuracy: float) -> float:
+    """The repair objective beta*bias + (1-beta)*(1-accuracy)."""
+    return beta * bias + (1.0 - beta) * (1.0 - accuracy)
+
+
 class BudgetExhaustedNoTrials(ValueError):
     """The trial budget does not allow even one evaluation."""
 
@@ -232,7 +237,7 @@ def _call_objective(args):
 def _record_outcome(outcome, cfg, tag, index, beta_fn, log, on_trial):
     status, acc, bias, err, elapsed = outcome
     beta = float(beta_fn())
-    cost = beta * bias + (1.0 - beta) * (1.0 - acc) if status == "ok" else None
+    cost = trial_cost(beta, bias, acc) if status == "ok" else None
     record = TrialRecord(
         index=index,
         config=cfg,
@@ -320,7 +325,7 @@ def best(log: TrialLog, beta: float) -> TrialRecord:
     winner = None
     winner_cost = None
     for r in log.ok_records():
-        c = beta * r.bias + (1.0 - beta) * (1.0 - r.accuracy)
+        c = trial_cost(beta, r.bias, r.accuracy)
         if winner_cost is None or c < winner_cost:
             winner, winner_cost = r, c
     if winner is None:

@@ -28,7 +28,6 @@ def two_point_baseline(orig=(0.10, 0.85), end_acc=0.70):
         a0=end_acc,
         points=((1.0, TradeoffPoint(0.0, end_acc)),),
         repetitions=1,
-        replacement=1,
         seed=0,
     )
 
@@ -129,6 +128,13 @@ def test_baseline_json_shape_and_round_trip():
     assert again.original == b.original
 
 
+def test_baseline_json_round_trip_is_equal():
+    ds = random_ds(100, 3, seed=26)
+    fp = fit_default(ds)
+    b = build_baseline(fp, ds, MetricKind.SPD, repetitions=5, seed=4)
+    assert TradeoffBaseline.from_json(b.to_json()) == b
+
+
 # ---------------------------------------------------------------------------
 # region classification
 
@@ -175,7 +181,7 @@ def test_region_invariant_under_bias_rescaling():
             (0.25 * (i + 1), TradeoffPoint(m, float(rng.uniform(0.5, 1.0))))
             for i, m in enumerate(mids)
         ) + ((1.0, TradeoffPoint(0.0, a0)),)
-        base = TradeoffBaseline(MetricKind.SPD, TradeoffPoint(b_o, a_o), a0, points, 1, 1, 0)
+        base = TradeoffBaseline(MetricKind.SPD, TradeoffPoint(b_o, a_o), a0, points, 1, 0)
         cand = TradeoffPoint(float(rng.uniform(0, 0.6)), float(rng.uniform(0.5, 1.0)))
         expected = classify_region(base, cand)
         for lam in (0.5, 2.0, 7.0):
@@ -184,7 +190,6 @@ def test_region_invariant_under_bias_rescaling():
                 TradeoffPoint(b_o * lam, a_o),
                 a0,
                 tuple((d, TradeoffPoint(p.bias * lam, p.acc)) for d, p in points),
-                1,
                 1,
                 0,
             )

@@ -45,6 +45,16 @@ def test_cost_definition():
             cost(beta, f, a)
 
 
+def test_logged_costs_and_best_use_the_cost_definition():
+    ds = biased_dataset(300, 0.3, seed=1)
+    res = repair(ds, AlgorithmKind.DECISION_TREE, RepairConfig(MetricKind.SPD, trials=12))
+    ok = res.log.ok_records()
+    for r in ok:
+        assert r.cost == cost(r.beta, r.bias, r.accuracy)
+    beta = res.state.beta
+    assert res.best_config == min(ok, key=lambda r: cost(beta, r.bias, r.accuracy)).config
+
+
 def test_pseudo_cost_definition():
     assert pseudo_cost(0.5, 0.8) == pytest.approx(0.10)
     assert pseudo_cost(0.3, 1.0) == 0.0
