@@ -94,7 +94,7 @@ def _as_binary(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=np.int64)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-d")
-    if a.size and not np.isin(a, (0, 1)).all():
+    if a.size and (a.min() < 0 or a.max() > 1):
         raise ValueError(f"{name} must be binary")
     return a
 
@@ -113,8 +113,7 @@ def group_counts(y, yhat, z) -> GroupCounts:
     z = _as_binary(z, "z")
     if not (len(y) == len(yhat) == len(z)) or len(y) == 0:
         raise LengthMismatch("y, yhat, z must share a positive length")
-    cells = np.zeros((2, 2, 2), dtype=np.int64)
-    np.add.at(cells, (z, y, yhat), 1)
+    cells = np.bincount(4 * z + 2 * y + yhat, minlength=8).reshape(2, 2, 2)
     return GroupCounts(cells)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tabular import Dataset, Encoder
+from ..tabular import Dataset, Encoder, FeatureMatrix, encode
 from ._boosting import GradientBoostingModel
 from ._components import FittedComponent, fit_component, top_k_count
 from ._linear import LogisticModel, NumericOverflow
@@ -83,22 +83,27 @@ def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X, y):
     raise ValueError(f"unknown algorithm {a!r}")
 
 
-def train(cfg: PipelineConfig, train_ds: Dataset, seed: int) -> FittedPipeline:
-    """Fit encoder, component, and classifier on the training split only."""
+def train(cfg: PipelineConfig, data, seed: int) -> FittedPipeline:
+    """Fit component and classifier on an encoded training split.
+
+    `data` is a FeatureMatrix; a Dataset is encoded into one first. A repair
+    encodes its split once and passes the FeatureMatrix to every trial.
+    """
     rng = np.random.default_rng(seed)
-    encoder = Encoder.fit(train_ds)
-    X = encoder.transform(train_ds)
+    fm = data if isinstance(data, FeatureMatrix) else encode(data)
+    X = fm.values
     if X.shape[1] == 0:
         raise ValueError("encoded feature width is 0")
-    y = train_ds.y.astype(np.int64)
+    y = fm.y.astype(np.int64)
     component, Xt, yt = fit_component(
-        cfg.component, X, y, f_pre=len(train_ds.feature_names)
+        cfg.component, X, y, f_pre=len(fm.encoder.feature_names)
     )
     model = _build_model(cfg, rng, Xt, yt)
     majority = 1 if int((y == 1).sum()) >= int((y == 0).sum()) else 0
-    return FittedPipeline(cfg, encoder, component, model, seed, majority)
+    return FittedPipeline(cfg, fm.encoder, component, model, seed, majority)
 
 
-def predict(fp: FittedPipeline, ds: Dataset) -> np.ndarray:
-    X = fp.component.apply(fp.encoder.transform(ds))
-    return np.asarray(fp.model.predict(X), dtype=np.int8)
+def predict(fp: FittedPipeline, data) -> np.ndarray:
+    """`data` is a matrix encoded by `fp.encoder`; a Dataset is encoded first."""
+    X = fp.encoder.transform(data) if isinstance(data, Dataset) else data
+    return np.asarray(fp.model.predict(fp.component.apply(X)), dtype=np.int8)

@@ -34,7 +34,7 @@ from .model_zoo import (
     predict,
     train,
 )
-from .tabular import Dataset, characteristics, split
+from .tabular import Dataset, characteristics, encode, split
 
 EPSILON = 0.01  # keeps 1-beta positive so the pseudo-cost threshold stays live
 FAIRNESS_TOLERANCE = 1e-6
@@ -202,21 +202,40 @@ class RepairResult:
 
 
 class _TrialObjective:
-    """Picklable train-and-score closure over the fixed split."""
+    """Picklable train-and-score closure over the split, encoded once.
 
-    def __init__(self, train_ds, val_ds, kind, seed, di_cap):
-        self.train_ds = train_ds
-        self.val_ds = val_ds
+    A trial fits on the encoded train matrix and scores on the encoded val
+    matrix; no cell is re-parsed. Training reseeds from `seed`, so a config
+    always scores the same: each ok outcome is kept under the config's
+    canonical JSON and a repeated config is looked up, not refitted.
+    """
+
+    def __init__(self, train_fm, val_ds, kind, seed, di_cap):
+        self.train_fm = train_fm
+        self.X_val = train_fm.encoder.transform(val_ds)
+        self.y_val = val_ds.y
+        self.z_val = val_ds.z
         self.kind = kind
         self.seed = seed
         self.di_cap = di_cap
+        self.outcomes = {}
+
+    def score(self, fp: FittedPipeline):
+        yhat = predict(fp, self.X_val)
+        acc = float((yhat == self.y_val).mean())
+        bias = bias_value(self.kind, self.y_val, yhat, self.z_val, cap=self.di_cap)
+        self.outcomes[_config_key(fp.config)] = acc, bias
+        return acc, bias
 
     def __call__(self, cfg: PipelineConfig):
-        fp = train(cfg, self.train_ds, seed=self.seed)
-        yhat = predict(fp, self.val_ds)
-        acc = float((yhat == self.val_ds.y).mean())
-        bias = bias_value(self.kind, self.val_ds.y, yhat, self.val_ds.z, cap=self.di_cap)
-        return acc, bias
+        known = self.outcomes.get(_config_key(cfg))
+        if known is not None:
+            return known
+        return self.score(train(cfg, self.train_fm, seed=self.seed))
+
+
+def _config_key(cfg: PipelineConfig) -> str:
+    return json.dumps(cfg.to_dict(), sort_keys=True)
 
 
 def repair(
@@ -227,15 +246,18 @@ def repair(
 ) -> RepairResult:
     """Search for a fairer pipeline configuration on a 7:3 split of `ds`.
 
-    The buggy model is the algorithm's default configuration; it runs as
-    trial 0. When a database is given and an entry matches this input, the
-    search uses that entry's pruned space instead of the default one.
+    The split is encoded once, and every trial fits and scores on those
+    matrices. The buggy model is the algorithm's default configuration; it
+    is fitted once and its outcome is logged as trial 0. When a database is
+    given and an entry matches this input, the search uses that entry's
+    pruned space instead of the default one.
     """
     train_ds, val_ds = split(ds, cfg.train_fraction, cfg.seed)
+    train_fm = encode(train_ds)
     buggy_cfg = default_config(algorithm)
-    objective = _TrialObjective(train_ds, val_ds, cfg.metric, cfg.seed, cfg.di_cap)
-    buggy = train(buggy_cfg, train_ds, seed=cfg.seed)
-    a1, f1 = objective(buggy_cfg)
+    objective = _TrialObjective(train_fm, val_ds, cfg.metric, cfg.seed, cfg.di_cap)
+    buggy = train(buggy_cfg, train_fm, seed=cfg.seed)
+    a1, f1 = objective.score(buggy)  # trial 0 reuses this outcome
     a0 = pseudo_accuracy(val_ds.y)
     if f1 < FAIRNESS_TOLERANCE:
         raise AlreadyFair(
@@ -279,7 +301,10 @@ def repair(
     final = holder["state"]
     best_record = smbo.best(log, final.beta)
     # refit is bitwise-identical to the logged trial: same seed, same split
-    best_pipeline = train(best_record.config, train_ds, seed=cfg.seed)
+    if best_record.config == buggy_cfg:
+        best_pipeline = buggy
+    else:
+        best_pipeline = train(best_record.config, train_fm, seed=cfg.seed)
     baseline = build_baseline(
         buggy,
         val_ds,

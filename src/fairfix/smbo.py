@@ -234,6 +234,19 @@ def _call_objective(args):
         return "failed", None, None, err, time.perf_counter() - start
 
 
+# a pool worker's copy of the objective, shipped once by the pool initializer
+_worker_objective = None
+
+
+def _install_objective(objective):
+    global _worker_objective
+    _worker_objective = objective
+
+
+def _call_worker_objective(cfg):
+    return _call_objective((_worker_objective, cfg))
+
+
 def _record_outcome(outcome, cfg, tag, index, beta_fn, log, on_trial):
     status, acc, bias, err, elapsed = outcome
     beta = float(beta_fn())
@@ -305,14 +318,17 @@ def run(
         return log
 
     # batched mode: proposals come from the log as frozen at the batch start,
-    # results are appended in index order at the batch barrier
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # results are appended in index order at the batch barrier; each worker
+    # receives the objective once, and a task carries only its config
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install_objective, initargs=(objective,)
+    ) as pool:
         done = 0
         while done < budget and not out_of_time(done):
             width = min(workers, budget - done)
             proposals = [propose(done + j) for j in range(width)]
             outcomes = list(
-                pool.map(_call_objective, [(objective, cfg) for cfg, _ in proposals])
+                pool.map(_call_worker_objective, [cfg for cfg, _ in proposals])
             )
             for j, ((cfg, tag), outcome) in enumerate(zip(proposals, outcomes)):
                 _record_outcome(outcome, cfg, tag, done + j, beta_fn, log, on_trial)

@@ -331,14 +331,21 @@ class Encoder:
         return np.hstack(blocks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureMatrix:
+    """A training split encoded once: its fitted Encoder, float matrix and
+    labels. Trials fit on `values` instead of re-encoding the cells."""
+
     values: np.ndarray
-    column_names: tuple
+    y: np.ndarray
     encoder: Encoder
+
+    @property
+    def column_names(self) -> tuple:
+        return self.encoder.column_names
 
 
 def encode(ds: Dataset) -> FeatureMatrix:
     """Fit an Encoder on ds and materialize its matrix."""
     enc = Encoder.fit(ds)
-    return FeatureMatrix(enc.transform(ds), enc.column_names, enc)
+    return FeatureMatrix(enc.transform(ds), ds.y, enc)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfix.metrics import (
     DEFAULT_DI_CAP,
@@ -18,6 +20,7 @@ from fairfix.metrics import (
     NonPositiveDI,
     RateSentinel,
     UndefinedRate,
+    _as_binary,
     accuracy,
     bias_score,
     bias_value,
@@ -278,3 +281,69 @@ def test_bias_score_type_and_sign():
             assert isinstance(s, BiasScore)
             assert s.kind is kind
             assert s.value >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# group_counts against np.add.at, and the binary-input check
+
+
+def add_at_counts(y, yhat, z):
+    cells = np.zeros((2, 2, 2), dtype=np.int64)
+    np.add.at(cells, (np.asarray(z), np.asarray(y), np.asarray(yhat)), 1)
+    return cells
+
+
+def isin_as_binary(v, name):
+    a = np.asarray(v, dtype=np.int64)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-d")
+    if a.size and not np.isin(a, (0, 1)).all():
+        raise ValueError(f"{name} must be binary")
+    return a
+
+
+@st.composite
+def binary_triples(draw):
+    n = draw(st.integers(1, 60))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return draw(bits), draw(bits), draw(bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_triples())
+def test_group_counts_matches_add_at_oracle(triple):
+    y, yhat, z = triple
+    expected = add_at_counts(y, yhat, z)
+    if expected[0].sum() == 0 or expected[1].sum() == 0:
+        with pytest.raises(ValueError, match="is empty"):
+            group_counts(y, yhat, z)
+        return
+    got = group_counts(y, yhat, z).cells
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 3), max_size=12),
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, 1.5]), max_size=12),
+        st.lists(st.booleans(), max_size=12),
+    )
+)
+def test_binary_check_accepts_and_rejects_like_isin(values):
+    try:
+        expected = isin_as_binary(values, "yhat")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _as_binary(values, "yhat")
+        assert str(info.value) == str(exc)
+        return
+    assert np.array_equal(_as_binary(values, "yhat"), expected)
+
+
+def test_non_binary_input_error_is_unchanged():
+    with pytest.raises(ValueError, match="^z must be binary$"):
+        group_counts([0, 1, 1], [1, 0, 1], [0, 2, 1])
+    with pytest.raises(ValueError, match="^y must be 1-d$"):
+        group_counts([[0, 1]], [1, 0], [0, 1])

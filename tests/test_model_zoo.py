@@ -18,7 +18,7 @@ from fairfix.model_zoo import (
     train,
 )
 from fairfix.model_zoo._components import fit_component
-from fairfix.tabular import Dataset
+from fairfix.tabular import Dataset, encode
 
 
 def float_ds(rows, y, z):
@@ -155,6 +155,29 @@ def test_train_predict_bitwise_determinism():
         p1 = predict(train(cfg, ds, seed=42), probe)
         p2 = predict(train(cfg, ds, seed=42), probe)
         assert p1.tobytes() == p2.tobytes(), a
+
+
+def mixed_ds(n, seed):
+    """Two numeric columns and one categorical column."""
+    rng = np.random.default_rng(seed)
+    base = random_ds(n, 2, seed)
+    city = rng.choice(["york", "leeds", "paris", "oslo"], n)
+    cells = np.column_stack([base.cells, city.astype(object)])
+    return Dataset(("x0", "x1", "city"), cells, base.y, base.z, {"source": "test"})
+
+
+@pytest.mark.parametrize("component", list(ComponentKind))
+@pytest.mark.parametrize("algorithm", list(AlgorithmKind))
+def test_encoded_path_matches_dataset_path(algorithm, component):
+    train_ds, val_ds = mixed_ds(150, seed=3), mixed_ds(60, seed=4)
+    cfg = PipelineConfig(algorithm, component, default_config(algorithm).params)
+    fm = encode(train_ds)
+    X_val = fm.encoder.transform(val_ds)
+    assert fm.values.shape[1] > 3  # the categorical column was one-hot encoded
+    from_arrays = predict(train(cfg, fm, seed=5), X_val)
+    from_dataset = predict(train(cfg, train_ds, seed=5), val_ds)
+    assert from_arrays.dtype == from_dataset.dtype == np.int8
+    assert from_arrays.tobytes() == from_dataset.tobytes()
 
 
 def test_knn_k1_reproduces_training_labels():

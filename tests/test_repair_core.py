@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from fairfix import model_zoo, repair_core
 from fairfix.fairea import TradeoffRegion
-from fairfix.metrics import MetricKind
-from fairfix.model_zoo import AlgorithmKind
+from fairfix.metrics import MetricKind, bias_value
+from fairfix.model_zoo import AlgorithmKind, default_config, default_space, sample
 from fairfix.repair_core import (
     EPSILON,
     AlreadyFair,
@@ -24,7 +25,7 @@ from fairfix.repair_core import (
     repair,
 )
 from fairfix.synth import biased_dataset
-from fairfix.tabular import Dataset
+from fairfix.tabular import Dataset, Encoder, encode, split
 
 # ---------------------------------------------------------------------------
 # scalar pieces
@@ -283,3 +284,81 @@ def test_repair_raises_already_fair_with_original_attached():
     assert info.value.bias == 0.0
     assert info.value.accuracy == 1.0
     assert info.value.pipeline is not None
+
+
+# ---------------------------------------------------------------------------
+# one encoding per repair, one buggy fit
+
+
+def test_objective_scores_like_the_dataset_path_and_reuses_outcomes(monkeypatch):
+    train_ds, val_ds = split(biased_dataset(rows=400, seed=4), 0.7, 0)
+    objective = repair_core._TrialObjective(
+        encode(train_ds), val_ds, MetricKind.SPD, 3, 5.0
+    )
+    cfg = sample(default_space(AlgorithmKind.LOGISTIC_REGRESSION), np.random.default_rng(1))
+    yhat = model_zoo.predict(model_zoo.train(cfg, train_ds, seed=3), val_ds)
+    expected = (
+        float((yhat == val_ds.y).mean()),
+        bias_value(MetricKind.SPD, val_ds.y, yhat, val_ds.z),
+    )
+    fits = []
+    train = repair_core.train
+
+    def spy_train(cfg, data, seed):
+        fits.append(cfg)
+        return train(cfg, data, seed=seed)
+
+    monkeypatch.setattr(repair_core, "train", spy_train)
+    assert objective(cfg) == expected
+    assert objective(cfg) == expected
+    assert fits == [cfg]
+
+
+def test_repair_encodes_once_and_fits_the_default_once(monkeypatch):
+    ds = biased_dataset(rows=600, seed=7)
+    calls = {"fit": 0, "transform": 0, "default": 0}
+    encoder_fit = Encoder.fit.__func__
+    transform = Encoder.transform
+    build = model_zoo._build_model
+    default = default_config(AlgorithmKind.LOGISTIC_REGRESSION)
+
+    def spy_fit(cls, data):
+        calls["fit"] += 1
+        return encoder_fit(cls, data)
+
+    def spy_transform(self, data):
+        calls["transform"] += 1
+        return transform(self, data)
+
+    def spy_build(cfg, rng, X, y):
+        calls["default"] += cfg == default
+        return build(cfg, rng, X, y)
+
+    monkeypatch.setattr(Encoder, "fit", classmethod(spy_fit))
+    monkeypatch.setattr(Encoder, "transform", spy_transform)
+    monkeypatch.setattr(model_zoo, "_build_model", spy_build)
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=6, seed=0)
+    res = repair(ds, AlgorithmKind.LOGISTIC_REGRESSION, cfg)
+    assert len(res.log.records) == 6
+    assert res.log.records[0].config == default
+    assert calls["fit"] == 1
+    assert calls["transform"] <= 3
+    assert calls["default"] == 1
+
+
+# 11 trials: the default and the random design; digests recorded before the
+# split was encoded once per repair, and unchanged by it
+PINNED_DIGESTS = {
+    AlgorithmKind.GRADIENT_BOOSTING: "5fc6f389d57ce0e6",
+    AlgorithmKind.RANDOM_FOREST: "b30842fb46ae3a01",
+    AlgorithmKind.DECISION_TREE: "ecc9b4937025e607",
+    AlgorithmKind.LOGISTIC_REGRESSION: "d76f8db932278139",
+    AlgorithmKind.KNN: "73f0cb7134dc62da",
+}
+
+
+@pytest.mark.parametrize("algorithm", list(PINNED_DIGESTS))
+def test_trial_log_digests_are_pinned(algorithm):
+    ds = biased_dataset(2000, 0.3, seed=0)
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=11, seed=0)
+    assert repair(ds, algorithm, cfg).log.digest() == PINNED_DIGESTS[algorithm]

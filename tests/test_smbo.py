@@ -130,6 +130,27 @@ def test_batched_mode_dense_and_deterministic():
     assert a.digest() == b.digest()
 
 
+class CountedParabola:
+    """parabola, counting how often the parent process pickles it."""
+
+    pickles = 0
+
+    def __call__(self, cfg):
+        return parabola(cfg)
+
+    def __getstate__(self):
+        CountedParabola.pickles += 1
+        return {}
+
+
+def test_batched_mode_ships_the_objective_once_per_worker():
+    CountedParabola.pickles = 0
+    objective = CountedParabola()
+    log = run(objective, fixture_space(), 9, seed=3, workers=2)
+    assert CountedParabola.pickles <= 2  # once per worker at most, not per task
+    assert log.digest() == run(parabola, fixture_space(), 9, seed=3, workers=2).digest()
+
+
 def test_beta_fn_prices_each_trial():
     log = run(parabola, fixture_space(), 3, seed=0, beta_fn=lambda: 0.4)
     for r in log.records:
