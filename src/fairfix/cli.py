@@ -18,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .fairea import TradeoffBaseline, TradeoffPoint, TradeoffRegion, build_baseline, classify_region
+from .fairea import (
+    DEFAULT_REPETITIONS,
+    TradeoffBaseline,
+    TradeoffPoint,
+    TradeoffRegion,
+    build_baseline,
+    classify_region,
+)
 from .metrics import MetricKind
 from .model_zoo import AlgorithmKind, default_config, train
 from .prune_db import (
@@ -30,7 +37,7 @@ from .prune_db import (
     load as load_db,
     save as save_db,
 )
-from .repair_core import AlreadyFair, RepairConfig, repair
+from .repair_core import DEFAULT_TRAIN_FRACTION, AlreadyFair, RepairConfig, repair
 from .tabular import DataError, Schema, load_csv, split
 
 log = logging.getLogger("fairfix.cli")
@@ -75,7 +82,7 @@ def cmd_repair(args) -> int:
 
 def cmd_baseline(args) -> int:
     ds, _ = _load_dataset(args.data, args.schema)
-    train_ds, val_ds = split(ds, 0.7, args.seed)
+    train_ds, val_ds = split(ds, DEFAULT_TRAIN_FRACTION, args.seed)
     fp = train(default_config(AlgorithmKind(args.model)), train_ds, seed=args.seed)
     baseline = build_baseline(
         fp, val_ds, MetricKind(args.metric), repetitions=args.reps, seed=args.seed
@@ -166,6 +173,20 @@ def cmd_evaluate(args) -> int:
     return 0 if region in (TradeoffRegion.GOOD, TradeoffRegion.WIN) else 1
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fairfix",
@@ -178,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--schema", required=True, help="schema JSON file")
     r.add_argument("--model", required=True, choices=_MODELS)
     r.add_argument("--metric", required=True, choices=_METRICS)
-    r.add_argument("--trials", type=int, default=200)
-    r.add_argument("--seconds", type=float, default=None,
+    r.add_argument("--trials", type=positive_int, default=200)
+    r.add_argument("--seconds", type=positive_float, default=None,
                    help="optional wall-clock cap on top of --trials")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--db", default=None, help="pruned search-space database")
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument("--workers", type=positive_int, default=1)
     r.add_argument("--out", required=True, help="report JSON path")
     r.set_defaults(func=cmd_repair)
 
@@ -192,20 +213,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--schema", required=True)
     b.add_argument("--model", required=True, choices=_MODELS)
     b.add_argument("--metric", required=True, choices=_METRICS)
-    b.add_argument("--reps", type=int, default=50)
+    b.add_argument("--reps", type=positive_int, default=DEFAULT_REPETITIONS)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True, help="baseline JSON path (CSV lands beside it)")
     b.set_defaults(func=cmd_baseline)
 
     d = sub.add_parser("build-db", help="build a pruned search-space database")
     d.add_argument("--corpus", required=True, help="directory with manifest.json")
-    d.add_argument("--runs", type=int, default=10)
-    d.add_argument("--trials", type=int, default=50)
-    d.add_argument("--top-k", type=int, default=10, dest="top_k")
-    d.add_argument("--top-m", type=int, default=3, dest="top_m")
-    d.add_argument("--dev", type=float, default=1.0)
+    d.add_argument("--runs", type=positive_int, default=10)
+    d.add_argument("--trials", type=positive_int, default=50)
+    d.add_argument("--top-k", type=positive_int, default=10, dest="top_k")
+    d.add_argument("--top-m", type=positive_int, default=3, dest="top_m")
+    d.add_argument("--dev", type=positive_float, default=1.0)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--workers", type=int, default=1)
+    d.add_argument("--workers", type=positive_int, default=1)
     d.add_argument("--out", required=True, help="database JSON path")
     d.set_defaults(func=cmd_build_db)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .metrics import DEFAULT_DI_CAP, MetricKind, bias_value
 from .model_zoo import FittedPipeline, predict
-from .tabular import Dataset, round_half_up
+from .tabular import Dataset, FeatureMatrix, round_half_up
 
 DEFAULT_DEGREES = tuple(d / 10 for d in range(1, 11))
 DEFAULT_REPETITIONS = 50
@@ -81,6 +81,13 @@ class TradeoffBaseline:
         )
 
 
+def pseudo_accuracy(y) -> float:
+    """Accuracy of always predicting the majority class."""
+    n = len(y)
+    ones = int((y == 1).sum())
+    return max(ones, n - ones) / n
+
+
 def mutate_predictions(yhat, degree, replacement, rng) -> np.ndarray:
     """Set round(degree*n) uniformly chosen positions to `replacement`."""
     if not 0.0 <= degree <= 1.0:
@@ -96,7 +103,7 @@ def mutate_predictions(yhat, degree, replacement, rng) -> np.ndarray:
 
 def build_baseline(
     fp: FittedPipeline,
-    val: Dataset,
+    val: FeatureMatrix | Dataset,
     kind: MetricKind,
     degrees=DEFAULT_DEGREES,
     repetitions: int = DEFAULT_REPETITIONS,
@@ -113,11 +120,9 @@ def build_baseline(
 
     yhat = predict(fp, val)
     y = val.y
-    n = y.shape[0]
     acc_o = float((yhat == y).mean())
     bias_o = bias_value(kind, y, yhat, val.z, cap=di_cap)
-    ones = int((y == 1).sum())
-    a0 = max(ones, n - ones) / n
+    a0 = pseudo_accuracy(y)
 
     rng = np.random.default_rng(seed)
     points = []

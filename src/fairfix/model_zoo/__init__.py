@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tabular import Dataset, Encoder, FeatureMatrix, encode
+from ..tabular import Encoder, FeatureMatrix, encode
 from ._boosting import GradientBoostingModel
 from ._components import FittedComponent, fit_component, top_k_count
 from ._linear import LogisticModel, NumericOverflow
@@ -104,6 +104,8 @@ def train(cfg: PipelineConfig, data, seed: int) -> FittedPipeline:
 
 
 def predict(fp: FittedPipeline, data) -> np.ndarray:
-    """`data` is a matrix encoded by `fp.encoder`; a Dataset is encoded first."""
-    X = fp.encoder.transform(data) if isinstance(data, Dataset) else data
-    return np.asarray(fp.model.predict(fp.component.apply(X)), dtype=np.int8)
+    """`data` is a FeatureMatrix made by `fp.encoder`; a Dataset is encoded first."""
+    fm = data if isinstance(data, FeatureMatrix) else encode(data, fp.encoder)
+    if fm.encoder != fp.encoder:
+        raise ValueError("feature matrix was not made by the pipeline's encoder")
+    return np.asarray(fp.model.predict(fp.component.apply(fm.values)), dtype=np.int8)

@@ -26,6 +26,7 @@ from .model_zoo import (
     component_rank,
     default_space,
 )
+from .repair_core import DEFAULT_TRAIN_FRACTION
 from .smbo import trial_cost
 from .tabular import DataCharacteristics, Dataset, characteristics
 
@@ -205,7 +206,7 @@ class BuildConfig:
     top_m: int = 3
     dev: float = 1.0
     metric: MetricKind = MetricKind.SPD
-    train_fraction: float = 0.7
+    train_fraction: float = DEFAULT_TRAIN_FRACTION
     workers: int = 1
 
     def __post_init__(self):
@@ -234,7 +235,8 @@ def build_entry(
     seed: int,
 ) -> DatabaseEntry:
     """Aggregate runs*top_k winning pipelines into a pruned-space entry."""
-    from .repair_core import RepairConfig, repair  # deferred: repair uses match_input
+    # looked up per call, so that a wrapper set on repair_core.repair applies here
+    from .repair_core import RepairConfig, repair
 
     run_seeds = np.random.SeedSequence(seed).generate_state(bcfg.runs)
     chosen = []

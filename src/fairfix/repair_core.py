@@ -23,6 +23,7 @@ from .fairea import (
     TradeoffRegion,
     build_baseline,
     classify_region,
+    pseudo_accuracy,
 )
 from .metrics import DEFAULT_DI_CAP, MetricKind, bias_value
 from .model_zoo import (
@@ -51,13 +52,6 @@ class AlreadyFair(Exception):
         self.pipeline = pipeline
         self.accuracy = accuracy
         self.bias = bias
-
-
-def pseudo_accuracy(y) -> float:
-    """Accuracy of always predicting the majority class."""
-    n = len(y)
-    ones = int((y == 1).sum())
-    return max(ones, n - ones) / n
 
 
 def cost(beta: float, f: float, a: float) -> float:
@@ -163,6 +157,8 @@ class RepairConfig:
             raise ValueError("alpha must be in (0,1)")
         if self.seconds is not None and self.seconds <= 0:
             raise ValueError("seconds must be positive when given")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -210,20 +206,19 @@ class _TrialObjective:
     canonical JSON and a repeated config is looked up, not refitted.
     """
 
-    def __init__(self, train_fm, val_ds, kind, seed, di_cap):
+    def __init__(self, train_fm, val_fm, kind, seed, di_cap):
         self.train_fm = train_fm
-        self.X_val = train_fm.encoder.transform(val_ds)
-        self.y_val = val_ds.y
-        self.z_val = val_ds.z
+        self.val_fm = val_fm
         self.kind = kind
         self.seed = seed
         self.di_cap = di_cap
         self.outcomes = {}
 
     def score(self, fp: FittedPipeline):
-        yhat = predict(fp, self.X_val)
-        acc = float((yhat == self.y_val).mean())
-        bias = bias_value(self.kind, self.y_val, yhat, self.z_val, cap=self.di_cap)
+        val = self.val_fm
+        yhat = predict(fp, val)
+        acc = float((yhat == val.y).mean())
+        bias = bias_value(self.kind, val.y, yhat, val.z, cap=self.di_cap)
         self.outcomes[_config_key(fp.config)] = acc, bias
         return acc, bias
 
@@ -246,19 +241,20 @@ def repair(
 ) -> RepairResult:
     """Search for a fairer pipeline configuration on a 7:3 split of `ds`.
 
-    The split is encoded once, and every trial fits and scores on those
-    matrices. The buggy model is the algorithm's default configuration; it
-    is fitted once and its outcome is logged as trial 0. When a database is
-    given and an entry matches this input, the search uses that entry's
-    pruned space instead of the default one.
+    The split is encoded once; every trial, the buggy model's score and the
+    mutation baseline use those matrices. The buggy model is the algorithm's
+    default configuration; it is fitted once and its outcome is logged as
+    trial 0. When a database is given and an entry matches this input, the
+    search uses that entry's pruned space instead of the default one.
     """
     train_ds, val_ds = split(ds, cfg.train_fraction, cfg.seed)
     train_fm = encode(train_ds)
+    val_fm = encode(val_ds, train_fm.encoder)
     buggy_cfg = default_config(algorithm)
-    objective = _TrialObjective(train_fm, val_ds, cfg.metric, cfg.seed, cfg.di_cap)
+    objective = _TrialObjective(train_fm, val_fm, cfg.metric, cfg.seed, cfg.di_cap)
     buggy = train(buggy_cfg, train_fm, seed=cfg.seed)
     a1, f1 = objective.score(buggy)  # trial 0 reuses this outcome
-    a0 = pseudo_accuracy(val_ds.y)
+    a0 = pseudo_accuracy(val_fm.y)
     if f1 < FAIRNESS_TOLERANCE:
         raise AlreadyFair(
             f"default model bias {f1!r} is already below tolerance",
@@ -307,7 +303,7 @@ def repair(
         best_pipeline = train(best_record.config, train_fm, seed=cfg.seed)
     baseline = build_baseline(
         buggy,
-        val_ds,
+        val_fm,
         cfg.metric,
         repetitions=cfg.repetitions,
         seed=cfg.seed,

@@ -9,6 +9,8 @@ same log.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -129,9 +131,9 @@ def encode_config(cfg: PipelineConfig, space: HyperparameterSpace) -> list:
         elif p.lo == p.hi:
             vec.append(0.0)
         elif p.scale == "log":
-            vec.append(
-                (math.log(v) - math.log(p.lo)) / (math.log(p.hi) - math.log(p.lo))
-            )
+            # the logs of a range an ulp or so wide can coincide
+            span = math.log(p.hi) - math.log(p.lo)
+            vec.append((math.log(v) - math.log(p.lo)) / span if span else 0.0)
         else:
             vec.append((v - p.lo) / (p.hi - p.lo))
     return vec
@@ -188,7 +190,8 @@ def _expected_improvement(incumbent: float, mu, sigma):
     return out
 
 
-def _suggest_tagged(log: TrialLog, space, rng):
+def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
+    """Next configuration to try, tagged "surrogate" or "random"."""
     # records from outside the space (a pruned space may not contain the
     # initial configuration) cannot be encoded, so the surrogate skips them
     ok = [r for r in log.ok_records() if _encodable(r.config, space)]
@@ -213,18 +216,11 @@ def _suggest_tagged(log: TrialLog, space, rng):
     return cands[int(np.argmax(ei))], "surrogate"
 
 
-def suggest(log: TrialLog, space: HyperparameterSpace, rng) -> PipelineConfig:
-    """Next configuration to try; random until the surrogate has data."""
-    cfg, _ = _suggest_tagged(log, space, rng)
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # the loop
 
 
-def _call_objective(args):
-    objective, cfg = args
+def _call_objective(objective, cfg):
     start = time.perf_counter()
     try:
         acc, bias = objective(cfg)
@@ -244,7 +240,7 @@ def _install_objective(objective):
 
 
 def _call_worker_objective(cfg):
-    return _call_objective((_worker_objective, cfg))
+    return _call_objective(_worker_objective, cfg)
 
 
 def _record_outcome(outcome, cfg, tag, index, beta_fn, log, on_trial):
@@ -285,8 +281,9 @@ def run(
     objective: config -> (accuracy, bias score); raising one of
     FAILED_TRIAL_CAUSES records a failed trial instead of aborting the run.
     beta_fn supplies the weight each trial's cost is recorded at; on_trial
-    fires once per completed trial, in index order. A deadline (absolute
-    time.monotonic value) stops the loop early, after at least one trial.
+    fires once per completed trial, in index order. Trials run in batches of
+    `workers`; a deadline (absolute time.monotonic value) stops the loop at
+    the first batch boundary after it passes, after at least one trial.
     """
     if budget < 1:
         raise BudgetExhaustedNoTrials(f"budget must be >= 1, got {budget}")
@@ -308,28 +305,24 @@ def run(
     def out_of_time(done):
         return done > 0 and deadline is not None and time.monotonic() >= deadline
 
-    if workers == 1:
-        for i in range(budget):
-            if out_of_time(i):
-                break
-            cfg, tag = propose(i)
-            outcome = _call_objective((objective, cfg))
-            _record_outcome(outcome, cfg, tag, i, beta_fn, log, on_trial)
-        return log
-
-    # batched mode: proposals come from the log as frozen at the batch start,
-    # results are appended in index order at the batch barrier; each worker
-    # receives the objective once, and a task carries only its config
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_install_objective, initargs=(objective,)
-    ) as pool:
+    # proposals come from the log as frozen at the batch start, and results
+    # are appended in index order at the batch barrier; with one worker a
+    # batch is one trial, evaluated in this process. A pool worker receives
+    # the objective once, and a task carries only its config
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_install_objective, initargs=(objective,)
+        )
+        evaluate = functools.partial(pool.map, _call_worker_objective)
+    else:
+        pool = contextlib.nullcontext()
+        evaluate = functools.partial(map, lambda cfg: _call_objective(objective, cfg))
+    with pool:
         done = 0
         while done < budget and not out_of_time(done):
             width = min(workers, budget - done)
             proposals = [propose(done + j) for j in range(width)]
-            outcomes = list(
-                pool.map(_call_worker_objective, [cfg for cfg, _ in proposals])
-            )
+            outcomes = list(evaluate([cfg for cfg, _ in proposals]))
             for j, ((cfg, tag), outcome) in enumerate(zip(proposals, outcomes)):
                 _record_outcome(outcome, cfg, tag, done + j, beta_fn, log, on_trial)
             done += width

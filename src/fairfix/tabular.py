@@ -333,11 +333,12 @@ class Encoder:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """A training split encoded once: its fitted Encoder, float matrix and
-    labels. Trials fit on `values` instead of re-encoding the cells."""
+    """A split encoded once by an Encoder fitted on the training split: its
+    float matrix, labels and groups. Trials use `values`, not the cells."""
 
     values: np.ndarray
     y: np.ndarray
+    z: np.ndarray
     encoder: Encoder
 
     @property
@@ -345,7 +346,7 @@ class FeatureMatrix:
         return self.encoder.column_names
 
 
-def encode(ds: Dataset) -> FeatureMatrix:
-    """Fit an Encoder on ds and materialize its matrix."""
-    enc = Encoder.fit(ds)
-    return FeatureMatrix(enc.transform(ds), ds.y, enc)
+def encode(ds: Dataset, encoder: Encoder | None = None) -> FeatureMatrix:
+    """Materialize ds's matrix with `encoder`, or with one fitted on ds."""
+    enc = Encoder.fit(ds) if encoder is None else encoder
+    return FeatureMatrix(enc.transform(ds), ds.y, ds.z, enc)

@@ -194,6 +194,36 @@ def test_usage_errors_exit_2(corpus, tmp_path, capsys):
     assert exc.value.code == 2
     capsys.readouterr()
 
+    # out-of-range numbers are usage errors too, caught before any input is read
+    inputs = {
+        "repair": [
+            "--data", str(corpus / "data.csv"), "--schema", str(corpus / "schema.json"),
+            "--model", "dtree", "--metric", "spd",
+        ],
+        "build-db": ["--corpus", str(corpus)],
+    }
+    inputs["baseline"] = inputs["repair"]
+    for command, flag, value in [
+        ("repair", "--trials", "0"),
+        ("repair", "--workers", "0"),
+        ("repair", "--seconds", "-1"),
+        ("baseline", "--reps", "0"),
+        ("build-db", "--runs", "0"),
+        ("build-db", "--trials", "0"),
+        ("build-db", "--top-k", "0"),
+        ("build-db", "--top-m", "0"),
+        ("build-db", "--dev", "0"),
+        ("build-db", "--workers", "0"),
+    ]:
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs[command], flag, value, "--out", str(out)])
+        assert exc.value.code == 2, (command, flag)
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag in err, (command, flag)
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def test_already_fair_input_exits_4(tmp_path, capsys):
     # perfectly separable clusters: the stock model has zero equal-odds gap

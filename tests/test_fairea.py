@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfix.fairea import (
     DEFAULT_DEGREES,
@@ -194,3 +196,33 @@ def test_region_invariant_under_bias_rescaling():
                 0,
             )
             assert classify_region(scaled, TradeoffPoint(cand.bias * lam, cand.acc)) is expected
+
+
+REGION_RANK = (
+    TradeoffRegion.LOSE,
+    TradeoffRegion.BAD,
+    TradeoffRegion.GOOD,
+    TradeoffRegion.INVERTED,
+    TradeoffRegion.WIN,
+)
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    original=st.tuples(unit, unit),
+    curve=st.lists(st.tuples(unit, unit), max_size=9),
+    a0=unit,
+    bias=unit,
+    accs=st.tuples(unit, unit),
+)
+def test_region_rank_never_falls_as_accuracy_rises(original, curve, a0, bias, accs):
+    points = tuple(
+        ((i + 1) / 10, TradeoffPoint(b, a)) for i, (b, a) in enumerate(curve)
+    ) + ((1.0, TradeoffPoint(0.0, a0)),)
+    base = TradeoffBaseline(MetricKind.SPD, TradeoffPoint(*original), a0, points, 1, 0)
+    lower, higher = sorted(accs)
+    rank = REGION_RANK.index
+    assert rank(classify_region(base, TradeoffPoint(bias, lower))) <= rank(
+        classify_region(base, TradeoffPoint(bias, higher))
+    )

@@ -172,12 +172,24 @@ def test_encoded_path_matches_dataset_path(algorithm, component):
     train_ds, val_ds = mixed_ds(150, seed=3), mixed_ds(60, seed=4)
     cfg = PipelineConfig(algorithm, component, default_config(algorithm).params)
     fm = encode(train_ds)
-    X_val = fm.encoder.transform(val_ds)
     assert fm.values.shape[1] > 3  # the categorical column was one-hot encoded
-    from_arrays = predict(train(cfg, fm, seed=5), X_val)
+    from_arrays = predict(train(cfg, fm, seed=5), encode(val_ds, fm.encoder))
     from_dataset = predict(train(cfg, train_ds, seed=5), val_ds)
     assert from_arrays.dtype == from_dataset.dtype == np.int8
     assert from_arrays.tobytes() == from_dataset.tobytes()
+
+
+def test_predict_rejects_a_matrix_from_another_encoder():
+    train_ds = mixed_ds(150, seed=3)
+    fp = train(default_config(AlgorithmKind.LOGISTIC_REGRESSION), train_ds, seed=5)
+    # fitted on other rows, the encoder keeps the city values in another order
+    other = encode(mixed_ds(150, seed=8))
+    assert other.encoder != fp.encoder
+    assert other.values.shape == encode(train_ds).values.shape
+    with pytest.raises(ValueError, match="encoder"):
+        predict(fp, other)
+    ours = encode(mixed_ds(40, seed=8), encode(train_ds).encoder)  # equal encoder
+    assert predict(fp, ours).tobytes() == predict(fp, mixed_ds(40, seed=8)).tobytes()
 
 
 def test_knn_k1_reproduces_training_labels():

@@ -2,9 +2,12 @@
 
 import functools
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfix.metrics import UndefinedRate
 from fairfix.model_zoo import (
@@ -14,17 +17,19 @@ from fairfix.model_zoo import (
     ParamDef,
     default_space,
     sample,
+    space_default,
 )
+from fairfix.prune_db import DatabaseEntry
 from fairfix.smbo import (
     BudgetExhaustedNoTrials,
     NoSuccessfulTrial,
     TrialLog,
     TrialRecord,
+    _suggest_tagged,
     best,
     decode_config,
     encode_config,
     run,
-    suggest,
 )
 
 
@@ -151,6 +156,33 @@ def test_batched_mode_ships_the_objective_once_per_worker():
     assert log.digest() == run(parabola, fixture_space(), 9, seed=3, workers=2).digest()
 
 
+class SlowParabola:
+    """parabola, taking `delay` seconds per trial."""
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def __call__(self, cfg):
+        time.sleep(self.delay)
+        return parabola(cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_deadline_overruns_by_at_most_one_batch(workers):
+    stamps = []
+    deadline = time.monotonic() + 1.0
+    log = run(
+        SlowParabola(0.1), fixture_space(), 200, seed=4, workers=workers,
+        deadline=deadline, on_trial=lambda r: stamps.append(time.monotonic()),
+    )
+    n = len(log.records)
+    assert time.monotonic() >= deadline
+    assert n < 200 and n % workers == 0  # stopped by the deadline, on a batch boundary
+    # every batch but the last was recorded before the deadline: at workers=1
+    # the run stops right after the trial during which the deadline passed
+    assert all(t < deadline for t in stamps[: n - workers])
+
+
 def test_beta_fn_prices_each_trial():
     log = run(parabola, fixture_space(), 3, seed=0, beta_fn=lambda: 0.4)
     for r in log.records:
@@ -184,7 +216,8 @@ def test_ndjson_matches_records():
 def test_suggest_falls_back_to_random_when_few_trials():
     space = fixture_space()
     log = TrialLog(rng_digest="0")
-    cfg = suggest(log, space, np.random.default_rng(0))
+    cfg, tag = _suggest_tagged(log, space, np.random.default_rng(0))
+    assert tag == "random"
     assert 0.0 <= cfg.params["x"] <= 1.0
 
 
@@ -199,7 +232,7 @@ def test_suggestions_stay_in_domain():
                         float(rng.uniform(0.1, 0.4)), 0.3, 0.0, "ok", "init")
         )
     for _ in range(200):
-        cfg = suggest(log, space, rng)
+        cfg, _ = _suggest_tagged(log, space, rng)
         assert cfg.component in space.components
         for p in space.params:
             assert p.contains(cfg.params[p.name])
@@ -227,7 +260,7 @@ def test_suggest_ignores_records_outside_the_space():
                                float(rng.uniform(0, 0.3)),
                                float(rng.uniform(0.1, 0.4)), 0.3, 0.0, "ok", "init"))
     for _ in range(100):
-        cfg = suggest(log, pruned, rng)
+        cfg, _ = _suggest_tagged(log, pruned, rng)
         assert cfg.component in pruned.components
         assert cfg.params["criterion"] == "entropy"
 
@@ -282,6 +315,48 @@ def test_encode_decode_round_trip():
                     assert w == pytest.approx(v, rel=1e-12)
                 else:
                     assert w == v
+
+
+@st.composite
+def pruned_spaces(draw):
+    """The space of a database entry that narrows a random subset of params:
+    categorical value subsets, numeric sub-ranges, some pinned to lo == hi."""
+    algorithm = draw(st.sampled_from(list(AlgorithmKind)))
+    components = draw(st.lists(st.sampled_from(list(ComponentKind)), min_size=1, unique=True))
+    params = {}
+    for p in default_space(algorithm).params:
+        if draw(st.booleans()):
+            continue  # kept at its declared range
+        if p.kind == "cat":
+            values = draw(st.lists(st.sampled_from(p.values), min_size=1, unique=True))
+            params[p.name] = {"kind": "categorical", "values": values}
+            continue
+        if p.kind == "int":
+            bound = st.integers(int(p.lo), int(p.hi))
+        else:
+            bound = st.floats(p.lo, p.hi)
+        lo, hi = sorted((draw(bound), draw(bound)))
+        if draw(st.booleans()):
+            hi = lo
+        params[p.name] = {"kind": "numeric", "lo": lo, "hi": hi}
+    entry = DatabaseEntry("d.csv", 100, 3, "group", 0.5, algorithm, tuple(components), params)
+    return entry.space()
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=pruned_spaces(), seed=st.integers(0, 2**32 - 1))
+def test_encode_decode_round_trip_on_pruned_spaces(space, seed):
+    rng = np.random.default_rng(seed)
+    for cfg in [space_default(space)] + [sample(space, rng) for _ in range(20)]:
+        again = decode_config(encode_config(cfg, space), space)
+        assert (again.algorithm, again.component) == (cfg.algorithm, cfg.component)
+        for p in space.params:
+            v, w = cfg.params[p.name], again.params[p.name]
+            if p.kind == "real" and p.lo < p.hi:
+                # log/exp or the scaling may move a real by an ulp
+                assert w == pytest.approx(v, rel=1e-12)
+            else:
+                assert w == v and type(w) is type(v)
 
 
 def test_encoding_normalizes_numerics():
