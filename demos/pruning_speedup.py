@@ -31,7 +31,7 @@ def main():
                         AlgorithmKind.DECISION_TREE, bcfg, seed=42)
     db = Database(provenance=bcfg.provenance(42), entries=(entry,))
     print(f"kept components: {[c.value for c in entry.components]}")
-    for name, spec in entry.params.items():
+    for name, spec in entry.payload()["params"].items():
         print(f"  {name}: {spec}")
 
     budget = 60

@@ -180,6 +180,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not value > 0.0:
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trials", type=positive_int, default=200)
     r.add_argument("--seconds", type=positive_float, default=None,
                    help="optional wall-clock cap on top of --trials")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=non_negative_int, default=0)
     r.add_argument("--db", default=None, help="pruned search-space database")
     r.add_argument("--workers", type=positive_int, default=1)
     r.add_argument("--out", required=True, help="report JSON path")
@@ -214,19 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--model", required=True, choices=_MODELS)
     b.add_argument("--metric", required=True, choices=_METRICS)
     b.add_argument("--reps", type=positive_int, default=DEFAULT_REPETITIONS)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=non_negative_int, default=0)
     b.add_argument("--out", required=True, help="baseline JSON path (CSV lands beside it)")
     b.set_defaults(func=cmd_baseline)
 
+    build = BuildConfig()
     d = sub.add_parser("build-db", help="build a pruned search-space database")
     d.add_argument("--corpus", required=True, help="directory with manifest.json")
-    d.add_argument("--runs", type=positive_int, default=10)
-    d.add_argument("--trials", type=positive_int, default=50)
-    d.add_argument("--top-k", type=positive_int, default=10, dest="top_k")
-    d.add_argument("--top-m", type=positive_int, default=3, dest="top_m")
-    d.add_argument("--dev", type=positive_float, default=1.0)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--workers", type=positive_int, default=1)
+    d.add_argument("--runs", type=positive_int, default=build.runs)
+    d.add_argument("--trials", type=positive_int, default=build.trials)
+    d.add_argument("--top-k", type=positive_int, default=build.top_k, dest="top_k")
+    d.add_argument("--top-m", type=positive_int, default=build.top_m, dest="top_m")
+    d.add_argument("--dev", type=positive_float, default=build.dev)
+    d.add_argument("--seed", type=non_negative_int, default=0)
+    d.add_argument("--workers", type=positive_int, default=build.workers)
     d.add_argument("--out", required=True, help="database JSON path")
     d.set_defaults(func=cmd_build_db)
 

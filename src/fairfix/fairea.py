@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import DEFAULT_DI_CAP, MetricKind, bias_value
+from .metrics import MetricKind, bias_value
 from .model_zoo import FittedPipeline, predict
 from .tabular import Dataset, FeatureMatrix, round_half_up
 
@@ -108,7 +108,6 @@ def build_baseline(
     degrees=DEFAULT_DEGREES,
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
-    di_cap: float = DEFAULT_DI_CAP,
 ) -> TradeoffBaseline:
     degrees = tuple(float(d) for d in degrees)
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
@@ -121,7 +120,7 @@ def build_baseline(
     yhat = predict(fp, val)
     y = val.y
     acc_o = float((yhat == y).mean())
-    bias_o = bias_value(kind, y, yhat, val.z, cap=di_cap)
+    bias_o = bias_value(kind, y, yhat, val.z)
     a0 = pseudo_accuracy(y)
 
     rng = np.random.default_rng(seed)
@@ -137,7 +136,7 @@ def build_baseline(
         for _ in range(repetitions):
             mutated = mutate_predictions(yhat, degree, fp.train_majority, rng)
             accs.append(float((mutated == y).mean()))
-            biases.append(bias_value(kind, y, mutated, val.z, cap=di_cap))
+            biases.append(bias_value(kind, y, mutated, val.z))
         points.append(
             (
                 degree,

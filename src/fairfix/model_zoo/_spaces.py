@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +42,10 @@ def component_rank(c: ComponentKind) -> int:
 class ParamDef:
     """One hyperparameter: categorical, integer range, or real range.
 
-    Declared spaces always have lo < hi; a pruned space may pin a numeric
-    param to a single point (lo == hi).
+    The one owner of range arithmetic: sampling, the surrogate's
+    coordinates (`encode`/`decode`) and pruning (`narrowed`). Declared
+    spaces always have lo < hi; a narrowed param may be pinned to a single
+    point (lo == hi).
     """
 
     name: str
@@ -64,22 +66,66 @@ class ParamDef:
                 raise ValueError(f"{self.name}: log scale requires lo > 0")
             if self.scale not in ("linear", "log"):
                 raise ValueError(f"{self.name}: bad scale {self.scale}")
+            # (origin, span) of the range on its linear or log axis, which
+            # encode and decode share; not a field, so eq and repr skip it
+            if self.scale == "log":
+                origin = math.log(self.lo)
+                axis = (origin, math.log(self.hi) - origin)
+            else:
+                axis = (self.lo, self.hi - self.lo)
+            object.__setattr__(self, "_axis", axis)
         else:
             raise ValueError(f"{self.name}: bad kind {self.kind}")
+
+    def encode(self, v) -> float:
+        """A categorical value's index, or a numeric's position in [0, 1] of
+        the range (0.0 when the range is a single point on its axis).
+        Raises ValueError for a categorical value the param does not hold."""
+        if self.kind == "cat":
+            return float(self.values.index(v))
+        origin, span = self._axis
+        if self.scale == "log":
+            v = math.log(v)
+        return (v - origin) / span if span else 0.0
+
+    def decode(self, x: float):
+        """The value at coordinate x, rounded to a value or integer and
+        clamped into the range."""
+        if self.kind == "cat":
+            return self.values[min(max(round_half_up(x), 0), len(self.values) - 1)]
+        origin, span = self._axis
+        v = origin + x * span
+        if self.scale == "log":
+            v = math.exp(v)
+        if self.kind == "int":
+            return int(min(max(round_half_up(v), int(self.lo)), int(self.hi)))
+        return float(min(max(v, self.lo), self.hi))
 
     def sample(self, rng: np.random.Generator):
         if self.kind == "cat":
             return self.values[int(rng.integers(len(self.values)))]
         if self.lo == self.hi:
-            return int(self.lo) if self.kind == "int" else float(self.lo)
-        if self.scale == "log":
-            u = rng.uniform(math.log(self.lo), math.log(self.hi))
-            v = math.exp(u)
-        else:
-            v = rng.uniform(self.lo, self.hi)
+            return self.decode(0.0)  # a pinned range takes no draw
+        return self.decode(rng.random())  # the draw rng.uniform() makes
+
+    def narrowed(self, values=(), lo=None, hi=None) -> "ParamDef":
+        """This param cut down to those of `values` it holds (categorical)
+        or to its intersection with [lo, hi] (numeric). Raises ValueError
+        when nothing is left."""
+        if self.kind == "cat":
+            keep = set(values)
+            kept = tuple(v for v in self.values if v in keep)
+            if not kept:
+                raise ValueError(f"{self.name}: no declared values survive")
+            return replace(self, values=kept)
+        if lo is None or hi is None:
+            raise ValueError(f"{self.name}: a numeric range needs lo and hi")
+        lo, hi = max(lo, self.lo), min(hi, self.hi)
+        if lo > hi:
+            raise ValueError(f"{self.name}: range disjoint from default")
         if self.kind == "int":
-            return int(min(max(round_half_up(v), int(self.lo)), int(self.hi)))
-        return float(v)
+            lo, hi = int(lo), int(hi)
+        return replace(self, lo=lo, hi=hi)
 
     def default(self):
         if self.kind == "cat":

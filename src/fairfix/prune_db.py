@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,9 @@ from .model_zoo import (
     AlgorithmKind,
     ComponentKind,
     HyperparameterSpace,
-    ParamDef,
     component_rank,
     default_space,
 )
-from .repair_core import DEFAULT_TRAIN_FRACTION
 from .smbo import trial_cost
 from .tabular import DataCharacteristics, Dataset, characteristics
 
@@ -72,45 +70,36 @@ class DatabaseEntry:
     L: float
     algorithm: AlgorithmKind
     components: tuple  # of ComponentKind, ranked by observed frequency
-    params: dict  # name -> {"kind":"categorical","values":[...]} | {"kind":"numeric","lo":..,"hi":..}
+    params: dict  # name -> the declared ParamDef narrowed (ParamDef.narrowed)
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("components must be non-empty")
-        base = default_space(self.algorithm)
-        declared = {p.name for p in base.params}
-        for name, spec in self.params.items():
+        declared = {pd.name: pd for pd in default_space(self.algorithm).params}
+        for name, pd in self.params.items():
             if name not in declared:
                 raise ValueError(f"unknown param {name!r} for {self.algorithm.value}")
-            if spec["kind"] == "numeric" and spec["lo"] > spec["hi"]:
-                raise ValueError(f"param {name!r}: lo > hi")
+            # an entry can only narrow the declared space, never widen it
+            if declared[name].narrowed(pd.values, pd.lo, pd.hi) != pd:
+                raise ValueError(f"param {name!r}: {pd} is not within {declared[name]}")
         object.__setattr__(self, "components", tuple(self.components))
 
     def space(self) -> HyperparameterSpace:
-        base = default_space(self.algorithm)
-        params = []
-        for pd in base.params:
-            spec = self.params.get(pd.name)
-            if spec is None:
-                params.append(pd)
-            elif spec["kind"] == "categorical":
-                params.append(
-                    ParamDef(pd.name, "cat", values=tuple(spec["values"]))
-                )
-            else:
-                lo, hi = spec["lo"], spec["hi"]
-                if pd.kind == "int":
-                    lo, hi = int(lo), int(hi)
-                params.append(
-                    ParamDef(pd.name, pd.kind, lo=lo, hi=hi, scale=pd.scale)
-                )
-        return HyperparameterSpace(self.algorithm, tuple(params), self.components)
+        params = tuple(
+            self.params.get(pd.name, pd) for pd in default_space(self.algorithm).params
+        )
+        return HyperparameterSpace(self.algorithm, params, self.components)
 
     def payload(self) -> dict:
-        base = default_space(self.algorithm)
-        ordered = {
-            pd.name: self.params[pd.name] for pd in base.params if pd.name in self.params
-        }
+        """The file form: each narrowed param as a categorical or numeric spec."""
+        specs = {}
+        for pd in self.space().params:
+            if pd.name not in self.params:
+                continue  # kept at its declared range
+            if pd.kind == "cat":
+                specs[pd.name] = {"kind": "categorical", "values": list(pd.values)}
+            else:
+                specs[pd.name] = {"kind": "numeric", "lo": pd.lo, "hi": pd.hi}
         return {
             "dataset": self.dataset,
             "p": self.p,
@@ -119,7 +108,7 @@ class DatabaseEntry:
             "L": self.L,
             "algorithm": self.algorithm.value,
             "components": [c.value for c in self.components],
-            "params": ordered,
+            "params": specs,
         }
 
 
@@ -154,16 +143,9 @@ def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
         for name, spec in obj["params"].items():
             pd = base.param(name)  # raises KeyError for foreign names
             if spec["kind"] == "categorical":
-                values = tuple(v for v in pd.values if v in set(spec["values"]))
-                if not values:
-                    raise ValueError(f"param {name!r}: no declared values survive")
-                params[name] = {"kind": "categorical", "values": list(values)}
+                params[name] = pd.narrowed(values=spec["values"])
             elif spec["kind"] == "numeric":
-                lo = max(spec["lo"], pd.lo)
-                hi = min(spec["hi"], pd.hi)
-                if lo > hi:
-                    raise ValueError(f"param {name!r}: range disjoint from default")
-                params[name] = {"kind": "numeric", "lo": lo, "hi": hi}
+                params[name] = pd.narrowed(lo=spec["lo"], hi=spec["hi"])
             else:
                 raise ValueError(f"param {name!r}: unknown kind {spec['kind']!r}")
         return DatabaseEntry(
@@ -176,15 +158,13 @@ def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
             components=components,
             params=params,
         )
-    except MalformedEntry:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedEntry(i, str(exc)) from exc
 
 
 def load(path) -> Database:
-    """Read a database file; numeric ranges are intersected with the
-    algorithm's default space so a stale file can never widen the search."""
+    """Read a database file; each spec narrows its declared param
+    (`ParamDef.narrowed`), so a stale file can never widen the search."""
     text = Path(path).read_text(encoding="utf-8")
     obj = json.loads(text)
     version = obj.get("version")
@@ -206,7 +186,6 @@ class BuildConfig:
     top_m: int = 3
     dev: float = 1.0
     metric: MetricKind = MetricKind.SPD
-    train_fraction: float = DEFAULT_TRAIN_FRACTION
     workers: int = 1
 
     def __post_init__(self):
@@ -249,7 +228,6 @@ def build_entry(
                 metric=bcfg.metric,
                 trials=bcfg.trials,
                 seed=int(run_seed),
-                train_fraction=bcfg.train_fraction,
                 workers=bcfg.workers,
             ),
         )
@@ -265,19 +243,14 @@ def build_entry(
     freq = Counter(cfg.component for cfg in chosen)
     components = sorted(freq, key=lambda c: (-freq[c], component_rank(c)))[: bcfg.top_m]
 
-    base = default_space(algorithm)
     params = {}
-    for pd in base.params:
+    for pd in default_space(algorithm).params:
         observed = [cfg.params[pd.name] for cfg in chosen]
         if pd.kind == "cat":
-            seen = set(observed)
-            params[pd.name] = {
-                "kind": "categorical",
-                "values": [v for v in pd.values if v in seen],
-            }
+            params[pd.name] = pd.narrowed(values=observed)
         else:
             lo, hi = prune_numeric(observed, bcfg.dev)
-            params[pd.name] = {"kind": "numeric", "lo": lo, "hi": hi}
+            params[pd.name] = pd.narrowed(lo=lo, hi=hi)
 
     chars = characteristics(ds)
     return DatabaseEntry(

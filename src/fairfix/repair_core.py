@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 from . import smbo
 from .fairea import (
-    DEFAULT_REPETITIONS,
     TradeoffBaseline,
     TradeoffPoint,
     TradeoffRegion,
@@ -25,7 +24,7 @@ from .fairea import (
     classify_region,
     pseudo_accuracy,
 )
-from .metrics import DEFAULT_DI_CAP, MetricKind, bias_value
+from .metrics import MetricKind, bias_value
 from .model_zoo import (
     AlgorithmKind,
     FittedPipeline,
@@ -143,18 +142,11 @@ class RepairConfig:
     trials: int
     seconds: float | None = None
     seed: int = 0
-    alpha: float = DEFAULT_ALPHA
-    patience: int = DEFAULT_PATIENCE
-    train_fraction: float = DEFAULT_TRAIN_FRACTION
-    repetitions: int = DEFAULT_REPETITIONS
     workers: int = 1
-    di_cap: float = DEFAULT_DI_CAP
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0,1)")
         if self.seconds is not None and self.seconds <= 0:
             raise ValueError("seconds must be positive when given")
         if self.workers < 1:
@@ -206,19 +198,18 @@ class _TrialObjective:
     canonical JSON and a repeated config is looked up, not refitted.
     """
 
-    def __init__(self, train_fm, val_fm, kind, seed, di_cap):
+    def __init__(self, train_fm, val_fm, kind, seed):
         self.train_fm = train_fm
         self.val_fm = val_fm
         self.kind = kind
         self.seed = seed
-        self.di_cap = di_cap
         self.outcomes = {}
 
     def score(self, fp: FittedPipeline):
         val = self.val_fm
         yhat = predict(fp, val)
         acc = float((yhat == val.y).mean())
-        bias = bias_value(self.kind, val.y, yhat, val.z, cap=self.di_cap)
+        bias = bias_value(self.kind, val.y, yhat, val.z)
         self.outcomes[_config_key(fp.config)] = acc, bias
         return acc, bias
 
@@ -247,11 +238,11 @@ def repair(
     trial 0. When a database is given and an entry matches this input, the
     search uses that entry's pruned space instead of the default one.
     """
-    train_ds, val_ds = split(ds, cfg.train_fraction, cfg.seed)
+    train_ds, val_ds = split(ds, DEFAULT_TRAIN_FRACTION, cfg.seed)
     train_fm = encode(train_ds)
     val_fm = encode(val_ds, train_fm.encoder)
     buggy_cfg = default_config(algorithm)
-    objective = _TrialObjective(train_fm, val_fm, cfg.metric, cfg.seed, cfg.di_cap)
+    objective = _TrialObjective(train_fm, val_fm, cfg.metric, cfg.seed)
     buggy = train(buggy_cfg, train_fm, seed=cfg.seed)
     a1, f1 = objective.score(buggy)  # trial 0 reuses this outcome
     a0 = pseudo_accuracy(val_fm.y)
@@ -260,7 +251,7 @@ def repair(
             f"default model bias {f1!r} is already below tolerance",
             pipeline=buggy, accuracy=a1, bias=f1,
         )
-    state = initial_beta_state(a1, a0, f1, cfg.alpha, cfg.patience)
+    state = initial_beta_state(a1, a0, f1)
 
     space = default_space(algorithm)
     if db is not None:
@@ -301,14 +292,7 @@ def repair(
         best_pipeline = buggy
     else:
         best_pipeline = train(best_record.config, train_fm, seed=cfg.seed)
-    baseline = build_baseline(
-        buggy,
-        val_fm,
-        cfg.metric,
-        repetitions=cfg.repetitions,
-        seed=cfg.seed,
-        di_cap=cfg.di_cap,
-    )
+    baseline = build_baseline(buggy, val_fm, cfg.metric, seed=cfg.seed)
     repaired = TradeoffPoint(bias=best_record.bias, acc=best_record.accuracy)
     region = classify_region(baseline, repaired)
     return RepairResult(

@@ -122,53 +122,20 @@ def _seed_digest(seed) -> str:
 
 
 def encode_config(cfg: PipelineConfig, space: HyperparameterSpace) -> list:
-    """Component index, then each param normalized to [0,1] or a value index."""
-    vec = [float(space.components.index(cfg.component))]
-    for p in space.params:
-        v = cfg.params[p.name]
-        if p.kind == "cat":
-            vec.append(float(p.values.index(v)))
-        elif p.lo == p.hi:
-            vec.append(0.0)
-        elif p.scale == "log":
-            # the logs of a range an ulp or so wide can coincide
-            span = math.log(p.hi) - math.log(p.lo)
-            vec.append((math.log(v) - math.log(p.lo)) / span if span else 0.0)
-        else:
-            vec.append((v - p.lo) / (p.hi - p.lo))
-    return vec
+    """Component index, then each param's coordinate (`ParamDef.encode`).
 
-
-def _encodable(cfg: PipelineConfig, space: HyperparameterSpace) -> bool:
-    if cfg.component not in space.components:
-        return False
-    for p in space.params:
-        if p.kind == "cat" and cfg.params[p.name] not in p.values:
-            return False
-    return True
+    Raises ValueError for a component or categorical value outside the space.
+    """
+    params = cfg.params
+    return [float(space.components.index(cfg.component))] + [
+        p.encode(params[p.name]) for p in space.params
+    ]
 
 
 def decode_config(vec, space: HyperparameterSpace) -> PipelineConfig:
     comp_i = min(max(round_half_up(vec[0]), 0), len(space.components) - 1)
-    component = space.components[comp_i]
-    params = {}
-    for x, p in zip(vec[1:], space.params):
-        if p.kind == "cat":
-            i = min(max(round_half_up(x), 0), len(p.values) - 1)
-            params[p.name] = p.values[i]
-            continue
-        if p.lo == p.hi:
-            params[p.name] = int(p.lo) if p.kind == "int" else float(p.lo)
-            continue
-        if p.scale == "log":
-            v = math.exp(math.log(p.lo) + x * (math.log(p.hi) - math.log(p.lo)))
-        else:
-            v = p.lo + x * (p.hi - p.lo)
-        if p.kind == "int":
-            params[p.name] = int(min(max(round_half_up(v), int(p.lo)), int(p.hi)))
-        else:
-            params[p.name] = float(min(max(v, p.lo), p.hi))
-    return PipelineConfig(space.algorithm, component, params)
+    params = {p.name: p.decode(x) for x, p in zip(vec[1:], space.params)}
+    return PipelineConfig(space.algorithm, space.components[comp_i], params)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +160,22 @@ def _expected_improvement(incumbent: float, mu, sigma):
 def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
     """Next configuration to try, tagged "surrogate" or "random"."""
     # records from outside the space (a pruned space may not contain the
-    # initial configuration) cannot be encoded, so the surrogate skips them
-    ok = [r for r in log.ok_records() if _encodable(r.config, space)]
-    if len(ok) < MIN_SURROGATE_TRIALS:
+    # initial configuration) do not encode, so the surrogate skips them
+    rows, costs = [], []
+    for r in log.ok_records():
+        try:
+            rows.append(encode_config(r.config, space))
+        except ValueError:
+            continue
+        costs.append(r.cost)
+    if len(rows) < MIN_SURROGATE_TRIALS:
         return sample(space, rng), "random"
     if rng.uniform() < EXPLORATION:
         return sample(space, rng), "random"
-    X = np.array([encode_config(r.config, space) for r in ok])
-    y = np.array([r.cost for r in ok])
+    X = np.array(rows)
+    y = np.array(costs)
     incumbent = float(y.min())
-    n = len(ok)
+    n = len(rows)
     trees = []
     for _ in range(ENSEMBLE_SIZE):
         idx = rng.integers(0, n, n)

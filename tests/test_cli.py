@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from fairfix.cli import main
+from fairfix.cli import build_parser, main
 from fairfix.fairea import TradeoffBaseline
-from fairfix.prune_db import load as load_db
+from fairfix.prune_db import BuildConfig, load as load_db
 from fairfix.synth import write_fixture
 
 
@@ -214,6 +214,9 @@ def test_usage_errors_exit_2(corpus, tmp_path, capsys):
         ("build-db", "--top-m", "0"),
         ("build-db", "--dev", "0"),
         ("build-db", "--workers", "0"),
+        ("repair", "--seed", "-1"),
+        ("baseline", "--seed", "-1"),
+        ("build-db", "--seed", "-1"),
     ]:
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as exc:
@@ -223,6 +226,13 @@ def test_usage_errors_exit_2(corpus, tmp_path, capsys):
         assert err.startswith("usage:") and flag in err, (command, flag)
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def test_build_db_defaults_are_build_config_defaults():
+    args = build_parser().parse_args(["build-db", "--corpus", "c", "--out", "o"])
+    defaults = BuildConfig()
+    for name in ("runs", "trials", "top_k", "top_m", "dev", "workers"):
+        assert getattr(args, name) == getattr(defaults, name), name
 
 
 def test_already_fair_input_exits_4(tmp_path, capsys):

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfix.model_zoo import (
     AlgorithmKind,
     ComponentKind,
     NumericOverflow,
+    ParamDef,
     PipelineConfig,
     default_config,
     default_space,
@@ -18,7 +21,7 @@ from fairfix.model_zoo import (
     train,
 )
 from fairfix.model_zoo._components import fit_component
-from fairfix.tabular import Dataset, encode
+from fairfix.tabular import Dataset, encode, round_half_up
 
 
 def float_ds(rows, y, z):
@@ -91,6 +94,75 @@ def test_sampling_deterministic():
     space = default_space(AlgorithmKind.RANDOM_FOREST)
     a = [sample(space, np.random.default_rng(5)).params for _ in range(3)]
     assert a[0] == a[1] == a[2]
+
+
+def direct_draw(p, rng):
+    """How a numeric was drawn before sampling went through ParamDef.decode."""
+    if p.lo == p.hi:
+        return int(p.lo) if p.kind == "int" else float(p.lo)
+    if p.scale == "log":
+        v = math.exp(rng.uniform(math.log(p.lo), math.log(p.hi)))
+    else:
+        v = rng.uniform(p.lo, p.hi)
+    if p.kind == "int":
+        return int(min(max(round_half_up(v), int(p.lo)), int(p.hi)))
+    return float(v)
+
+
+NUMERIC_PARAMS = [
+    p for a in AlgorithmKind for p in default_space(a).params if p.kind != "cat"
+]
+
+
+@st.composite
+def narrowed_numerics(draw):
+    p = draw(st.sampled_from(NUMERIC_PARAMS))
+    if p.kind == "int":
+        bound = st.integers(int(p.lo), int(p.hi))
+    else:
+        bound = st.floats(p.lo, p.hi)
+    lo, hi = sorted((draw(bound), draw(bound)))
+    return p.narrowed(lo=lo, hi=draw(st.sampled_from([lo, hi])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=narrowed_numerics() | st.sampled_from(NUMERIC_PARAMS),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_matches_the_direct_draw(p, seed):
+    # sample() draws decode(u) for one uniform u: the same values, bit for
+    # bit and of the same type, and the same generator state afterwards
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(200):
+        v, w = p.sample(a), direct_draw(p, b)
+        assert v == w and type(v) is type(w)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_narrowed_keeps_what_the_declared_param_holds():
+    dtree = default_space(AlgorithmKind.DECISION_TREE)
+    depth, crit = dtree.param("max_depth"), dtree.param("criterion")
+    assert depth.narrowed(lo=4.0, hi=99) == ParamDef("max_depth", "int", 4, 30)
+    assert type(depth.narrowed(lo=4.0, hi=9.0).hi) is int
+    assert depth.narrowed(lo=-5, hi=2) == ParamDef("max_depth", "int", 2, 2)
+    assert crit.narrowed(values=["x", "entropy", "gini"]).values == ("gini", "entropy")
+    lr = default_space(AlgorithmKind.LOGISTIC_REGRESSION).param("learning_rate")
+    assert lr.narrowed(lo=0.0, hi=0.5) == ParamDef("learning_rate", "real", 1e-4, 0.5, "log")
+    for cut in [dict(lo=31, hi=40), dict(lo=0, hi=1), dict(values=[3])]:
+        with pytest.raises(ValueError):
+            depth.narrowed(**cut)  # disjoint, or not a range
+    for cut in [dict(values=["x"]), dict(values=[]), dict(lo=0, hi=1)]:
+        with pytest.raises(ValueError):
+            crit.narrowed(**cut)  # nothing left, or not a value set
+
+
+def test_pinned_and_point_wide_ranges_encode_to_zero():
+    tiny = ParamDef("l2", "real", 1e-4, 1.0000000000000002e-4, "log")
+    assert tiny.encode(1e-4) == 0.0
+    assert tiny.lo <= tiny.decode(0.7) <= tiny.hi
+    for p in NUMERIC_PARAMS:
+        pinned = p.narrowed(lo=p.hi, hi=p.hi)
+        assert pinned.encode(pinned.lo) == 0.0
+        assert pinned.decode(0.3) == pinned.sample(np.random.default_rng(0)) == p.hi
 
 
 def test_log_param_median_near_geometric_midpoint():

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfix import smbo
 from fairfix.metrics import MetricKind
-from fairfix.model_zoo import AlgorithmKind, ComponentKind, default_space, sample
+from fairfix.model_zoo import AlgorithmKind, ComponentKind, ParamDef, default_space, sample
 from fairfix.prune_db import (
     BuildConfig,
     Database,
@@ -27,8 +29,12 @@ from fairfix.tabular import DataCharacteristics, characteristics
 def entry(dataset="d", p=100, f=5, protected="g", L=0.4,
           algorithm=AlgorithmKind.DECISION_TREE, components=(ComponentKind.NONE,),
           params=None):
-    return DatabaseEntry(dataset, p, f, protected, L, algorithm,
-                         components, params or {})
+    """An entry narrowing the declared params: `params` maps a name to the
+    keyword arguments of `ParamDef.narrowed` (`values=`, or `lo=`, `hi=`)."""
+    space = default_space(algorithm)
+    narrowed = {name: space.param(name).narrowed(**cut)
+                for name, cut in (params or {}).items()}
+    return DatabaseEntry(dataset, p, f, protected, L, algorithm, components, narrowed)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +76,9 @@ def test_pruned_range_within_observed():
 
 def test_entry_space_pins_and_restricts():
     e = entry(params={
-        "max_depth": {"kind": "numeric", "lo": 3, "hi": 7},
-        "min_leaf": {"kind": "numeric", "lo": 4, "hi": 4},
-        "criterion": {"kind": "categorical", "values": ["entropy"]},
+        "max_depth": dict(lo=3, hi=7),
+        "min_leaf": dict(lo=4, hi=4),
+        "criterion": dict(values=["entropy"]),
     }, components=(ComponentKind.REBALANCE, ComponentKind.NONE))
     space = e.space()
     assert space.components == (ComponentKind.NONE, ComponentKind.REBALANCE)
@@ -86,16 +92,34 @@ def test_entry_space_pins_and_restricts():
 
 
 def test_entry_rejects_foreign_params_and_bad_ranges():
+    def direct(*params):
+        return DatabaseEntry("d", 100, 5, "g", 0.4, AlgorithmKind.DECISION_TREE,
+                             (ComponentKind.NONE,), {p.name: p for p in params})
+
     with pytest.raises(ValueError):
-        entry(params={"nope": {"kind": "numeric", "lo": 1, "hi": 2}})
+        direct(ParamDef("nope", "int", 1, 2))
     with pytest.raises(ValueError):
-        entry(params={"max_depth": {"kind": "numeric", "lo": 9, "hi": 2}})
+        entry(params={"max_depth": dict(lo=9, hi=2)})
     with pytest.raises(ValueError):
         entry(components=())
+    # a param that is not a narrowing of the declared one: wider, or of
+    # another kind, scale or value order
+    declared = default_space(AlgorithmKind.DECISION_TREE)
+    assert direct(*declared.params).space().params == declared.params
+    for bad in [
+        ParamDef("max_depth", "int", 1, 30),
+        ParamDef("max_depth", "int", 2, 31),
+        ParamDef("max_depth", "real", 3, 7),
+        ParamDef("min_leaf", "int", 4, 8, "linear"),
+        ParamDef("criterion", "cat", values=("gini", "entropy", "log_loss")),
+        ParamDef("criterion", "cat", values=("entropy", "gini")),
+    ]:
+        with pytest.raises(ValueError):
+            direct(bad)
 
 
 def test_pinned_param_encodes_to_zero():
-    e = entry(params={"min_leaf": {"kind": "numeric", "lo": 4, "hi": 4}})
+    e = entry(params={"min_leaf": dict(lo=4, hi=4)})
     space = e.space()
     cfg = sample(space, np.random.default_rng(1))
     vec = smbo.encode_config(cfg, space)
@@ -112,12 +136,12 @@ def two_entry_db():
     e1 = entry(dataset="a.csv", p=1000, f=10, L=0.35,
                algorithm=AlgorithmKind.DECISION_TREE,
                components=(ComponentKind.REBALANCE,),
-               params={"max_depth": {"kind": "numeric", "lo": 2, "hi": 9},
-                       "criterion": {"kind": "categorical", "values": ["gini"]}})
+               params={"max_depth": dict(lo=2, hi=9),
+                       "criterion": dict(values=["gini"])})
     e2 = entry(dataset="b.csv", p=500, f=20, L=0.6,
                algorithm=AlgorithmKind.KNN,
                components=(ComponentKind.NONE, ComponentKind.STANDARDIZE),
-               params={"k": {"kind": "numeric", "lo": 5, "hi": 31}})
+               params={"k": dict(lo=5, hi=31)})
     return Database(provenance={"runs": 2, "trials": 10, "top_k": 3,
                                 "top_m": 2, "dev": 1.0, "seed": 0},
                     entries=(e1, e2))
@@ -165,8 +189,80 @@ def test_load_intersects_with_default_ranges(tmp_path):
     path.write_text(json.dumps(db))
     e = load(path).entries[0]
     pd = default_space(AlgorithmKind.DECISION_TREE).param("max_depth")
-    assert e.params["max_depth"]["lo"] == pd.lo
-    assert e.params["max_depth"]["hi"] == pd.hi
+    assert e.params["max_depth"] == pd
+
+
+@st.composite
+def file_entries(draw):
+    """A file entry whose specs may be wider than, a subset of, partly
+    outside or disjoint from the declared params, with foreign values."""
+    algorithm = draw(st.sampled_from(list(AlgorithmKind)))
+    specs = {}
+    for p in default_space(algorithm).params:
+        if draw(st.booleans()):
+            continue
+        if p.kind == "cat":
+            values = st.sampled_from(p.values + ("foreign", "other"))
+            specs[p.name] = {"kind": "categorical",
+                             "values": draw(st.lists(values, unique=True, max_size=4))}
+            continue
+        width = p.hi - p.lo
+        if p.kind == "int":
+            # a file may write an integer bound as a float
+            bound = st.integers(int(p.lo - width), int(p.hi + width))
+            bound = bound | bound.map(float)
+        else:
+            bound = st.floats(p.lo - width, p.hi + width)
+        lo, hi = sorted((draw(bound), draw(bound)))
+        specs[p.name] = {"kind": "numeric", "lo": lo, "hi": hi}
+    return {"dataset": "d.csv", "p": 100, "f": 3, "protected": "g", "L": 0.5,
+            "algorithm": algorithm.value, "components": ["none"], "params": specs}
+
+
+def survives(spec, declared):
+    if spec["kind"] == "categorical":
+        return bool(set(spec["values"]) & set(declared.values))
+    return max(spec["lo"], declared.lo) <= min(spec["hi"], declared.hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(file_entries(), min_size=1, max_size=4))
+def test_load_never_widens_the_default_space(rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("db") / "db.json"
+    path.write_text(json.dumps({"version": "fairfix-db/1", "entries": rows}))
+    spaces = [default_space(AlgorithmKind(row["algorithm"])) for row in rows]
+    bad = [
+        i for i, (row, space) in enumerate(zip(rows, spaces))
+        if not all(survives(spec, space.param(name))
+                   for name, spec in row["params"].items())
+    ]
+    if bad:
+        # a disjoint range or an empty value set names its entry
+        with pytest.raises(MalformedEntry) as info:
+            load(path)
+        assert info.value.index == bad[0]
+        return
+    for e, space in zip(load(path).entries, spaces):
+        for p, declared in zip(e.space().params, space.params):
+            assert (p.name, p.kind, p.scale) == (declared.name, declared.kind, declared.scale)
+            if p.kind == "cat":
+                assert set(p.values) <= set(declared.values)
+            else:
+                assert declared.contains(p.lo) and declared.contains(p.hi)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            cfg = sample(e.space(), rng)
+            assert all(d.contains(cfg.params[d.name]) for d in space.params)
+
+
+def test_load_rejects_a_foreign_param_name(tmp_path):
+    db = json.loads(two_entry_db().to_json())
+    db["entries"][1]["params"]["depth"] = {"kind": "numeric", "lo": 1, "hi": 2}
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(db))
+    with pytest.raises(MalformedEntry) as info:
+        load(path)
+    assert info.value.index == 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +357,12 @@ def test_build_entry_single_run_contains_best_config():
     winner = smbo.best(res.log, res.state.beta)
     assert e.components == (winner.config.component,)
     assert e.L == res.state.L
-    for name, spec in e.params.items():
+    for name, pd in e.params.items():
         v = winner.config.params[name]
-        if spec["kind"] == "numeric":
-            assert spec["lo"] == spec["hi"] == v
+        if pd.kind == "cat":
+            assert pd.values == (v,)
         else:
-            assert spec["values"] == [v]
+            assert pd.lo == pd.hi == v
 
 
 def test_build_entry_aggregates_runs(tmp_path):

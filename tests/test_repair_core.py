@@ -1,6 +1,7 @@
 """Cost algebra, greedy weight identifier, and the repair orchestration."""
 
 import functools
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ from fairfix import model_zoo, repair_core
 from fairfix.fairea import TradeoffRegion
 from fairfix.metrics import MetricKind, bias_value
 from fairfix.model_zoo import AlgorithmKind, default_config, default_space, sample
+from fairfix.prune_db import BuildConfig, Database, build_entry
 from fairfix.repair_core import (
     EPSILON,
     AlreadyFair,
@@ -296,7 +298,7 @@ def test_objective_scores_like_the_dataset_path_and_reuses_outcomes(monkeypatch)
     train_ds, val_ds = split(biased_dataset(rows=400, seed=4), 0.7, 0)
     train_fm = encode(train_ds)
     objective = repair_core._TrialObjective(
-        train_fm, encode(val_ds, train_fm.encoder), MetricKind.SPD, 3, 5.0
+        train_fm, encode(val_ds, train_fm.encoder), MetricKind.SPD, 3
     )
     cfg = sample(default_space(AlgorithmKind.LOGISTIC_REGRESSION), np.random.default_rng(1))
     yhat = model_zoo.predict(model_zoo.train(cfg, train_ds, seed=3), val_ds)
@@ -365,3 +367,39 @@ def test_trial_log_digests_are_pinned(algorithm):
     ds = biased_dataset(2000, 0.3, seed=0)
     cfg = RepairConfig(metric=MetricKind.SPD, trials=11, seed=0)
     assert repair(ds, algorithm, cfg).log.digest() == PINNED_DIGESTS[algorithm]
+
+
+# 25 trials reach the surrogate; a db entry built at that input sets a pruned
+# space for a second input of the same shape. Digests recorded before ranges
+# moved into ParamDef, and unchanged by it
+SURROGATE_DIGESTS = {
+    AlgorithmKind.DECISION_TREE: "06e366d09a46af46",
+    AlgorithmKind.LOGISTIC_REGRESSION: "76c14deb4b61c79e",
+    AlgorithmKind.GRADIENT_BOOSTING: "118fb006eded5ca1",
+}
+PRUNED_DIGESTS = {  # algorithm: (entry payload digest, pruned repair digest)
+    AlgorithmKind.DECISION_TREE: ("024430df1bc92ea0", "339db76ec5a2d6a1"),
+    AlgorithmKind.LOGISTIC_REGRESSION: ("fc680a89e6cc2244", "c80afa94c4a477b1"),
+}
+
+
+@pytest.mark.parametrize("algorithm", list(SURROGATE_DIGESTS))
+def test_surrogate_trial_log_digests_are_pinned(algorithm):
+    ds = biased_dataset(600, 0.3, seed=1)
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=25, seed=2)
+    log = repair(ds, algorithm, cfg).log
+    assert "surrogate" in {r.proposal for r in log.records}
+    assert log.digest() == SURROGATE_DIGESTS[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", list(PRUNED_DIGESTS))
+def test_entry_payload_and_pruned_space_digests_are_pinned(algorithm):
+    entry = build_entry(biased_dataset(600, 0.3, seed=1), "d", "group", algorithm,
+                        BuildConfig(runs=2, trials=20), 0)
+    blob = json.dumps(entry.payload(), sort_keys=True).encode("utf-8")
+    entry_digest, repair_digest = PRUNED_DIGESTS[algorithm]
+    assert hashlib.sha256(blob).hexdigest()[:16] == entry_digest
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=25, seed=0)
+    res = repair(biased_dataset(600, 0.3, seed=2), algorithm, cfg,
+                 db=Database(entries=(entry,)))
+    assert res.log.digest() == repair_digest

@@ -329,7 +329,7 @@ def pruned_spaces(draw):
             continue  # kept at its declared range
         if p.kind == "cat":
             values = draw(st.lists(st.sampled_from(p.values), min_size=1, unique=True))
-            params[p.name] = {"kind": "categorical", "values": values}
+            params[p.name] = p.narrowed(values=values)
             continue
         if p.kind == "int":
             bound = st.integers(int(p.lo), int(p.hi))
@@ -338,7 +338,7 @@ def pruned_spaces(draw):
         lo, hi = sorted((draw(bound), draw(bound)))
         if draw(st.booleans()):
             hi = lo
-        params[p.name] = {"kind": "numeric", "lo": lo, "hi": hi}
+        params[p.name] = p.narrowed(lo=lo, hi=hi)
     entry = DatabaseEntry("d.csv", 100, 3, "group", 0.5, algorithm, tuple(components), params)
     return entry.space()
 
