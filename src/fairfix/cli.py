@@ -26,7 +26,7 @@ from .fairea import (
     build_baseline,
     classify_region,
 )
-from .metrics import MetricKind
+from .metrics import MetricKind, NonPositiveDI, UndefinedRate
 from .model_zoo import AlgorithmKind, default_config, train
 from .prune_db import (
     BuildConfig,
@@ -253,7 +253,11 @@ def main(argv=None) -> int:
     except AlreadyFair as exc:
         print(f"already fair: {exc}", file=sys.stderr)
         return 4
-    except (DataError, MalformedEntry, UnknownVersion, OSError) as exc:
+    # a metric the data leaves undefined fails a trial inside the search;
+    # outside it (the buggy model, the baseline) the input cannot be judged
+    except (
+        DataError, MalformedEntry, UnknownVersion, UndefinedRate, NonPositiveDI, OSError
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

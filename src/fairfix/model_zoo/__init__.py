@@ -19,8 +19,10 @@ from ._spaces import (
     ParamDef,
     PipelineConfig,
     component_rank,
+    decode_config,
     default_config,
     default_space,
+    encode_config,
     sample,
     space_default,
 )
@@ -37,8 +39,10 @@ __all__ = [
     "ClassificationTree",
     "RegressionTree",
     "component_rank",
+    "decode_config",
     "default_config",
     "default_space",
+    "encode_config",
     "space_default",
     "sample",
     "train",

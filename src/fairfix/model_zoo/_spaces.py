@@ -1,4 +1,6 @@
-"""Algorithm/component enums, hyperparameter spaces, and config sampling."""
+"""Algorithm/component enums, hyperparameter spaces, and the row format: a
+component index, then one coordinate per param. Random draws are rows, the
+surrogate reads rows, and `decode_config` turns a row into a config."""
 
 from __future__ import annotations
 
@@ -42,10 +44,9 @@ def component_rank(c: ComponentKind) -> int:
 class ParamDef:
     """One hyperparameter: categorical, integer range, or real range.
 
-    The one owner of range arithmetic: sampling, the surrogate's
-    coordinates (`encode`/`decode`) and pruning (`narrowed`). Declared
-    spaces always have lo < hi; a narrowed param may be pinned to a single
-    point (lo == hi).
+    The one owner of range arithmetic: random draws (`draw`), coordinates
+    (`encode`/`decode`) and pruning (`narrowed`). Declared spaces always
+    have lo < hi; a narrowed param may be pinned to a single point (lo == hi).
     """
 
     name: str
@@ -101,12 +102,14 @@ class ParamDef:
             return int(min(max(round_half_up(v), int(self.lo)), int(self.hi)))
         return float(min(max(v, self.lo), self.hi))
 
-    def sample(self, rng: np.random.Generator):
+    def draw(self, rng: np.random.Generator) -> float:
+        """A random coordinate: a categorical index, or the uniform in [0, 1)
+        that rng.uniform() draws. A pinned range takes no draw."""
         if self.kind == "cat":
-            return self.values[int(rng.integers(len(self.values)))]
+            return float(rng.integers(len(self.values)))
         if self.lo == self.hi:
-            return self.decode(0.0)  # a pinned range takes no draw
-        return self.decode(rng.random())  # the draw rng.uniform() makes
+            return 0.0
+        return rng.random()
 
     def narrowed(self, values=(), lo=None, hi=None) -> "ParamDef":
         """This param cut down to those of `values` it holds (categorical)
@@ -249,8 +252,23 @@ def default_config(algorithm: AlgorithmKind) -> PipelineConfig:
     return space_default(default_space(algorithm))
 
 
-def sample(space: HyperparameterSpace, rng: np.random.Generator) -> PipelineConfig:
-    comp = space.components[int(rng.integers(len(space.components)))]
-    return PipelineConfig(
-        space.algorithm, comp, {p.name: p.sample(rng) for p in space.params}
-    )
+def sample(space: HyperparameterSpace, rng: np.random.Generator) -> list:
+    """A random row: a component index, then each param's `draw`."""
+    comp = float(rng.integers(len(space.components)))
+    return [comp] + [p.draw(rng) for p in space.params]
+
+
+def encode_config(cfg: PipelineConfig, space: HyperparameterSpace) -> list:
+    """A config's row: component index, then each param's `ParamDef.encode`.
+
+    Raises ValueError for a component or categorical value outside the space.
+    """
+    comp = float(space.components.index(cfg.component))
+    return [comp] + [p.encode(cfg.params[p.name]) for p in space.params]
+
+
+def decode_config(row, space: HyperparameterSpace) -> PipelineConfig:
+    """The config at a row; each coordinate is rounded and clamped."""
+    comp_i = min(max(round_half_up(row[0]), 0), len(space.components) - 1)
+    params = {p.name: p.decode(x) for x, p in zip(row[1:], space.params)}
+    return PipelineConfig(space.algorithm, space.components[comp_i], params)

@@ -25,8 +25,8 @@ from .model_zoo import (
     component_rank,
     default_space,
 )
-from .smbo import trial_cost
-from .tabular import DataCharacteristics, Dataset, characteristics
+from .smbo import ranking
+from .tabular import DataCharacteristics, DataError, Dataset, characteristics
 
 DB_VERSION = "fairfix-db/1"
 
@@ -165,14 +165,17 @@ def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
 def load(path) -> Database:
     """Read a database file; each spec narrows its declared param
     (`ParamDef.narrowed`), so a stale file can never widen the search."""
-    text = Path(path).read_text(encoding="utf-8")
-    obj = json.loads(text)
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise DataError(f"database {path} is not JSON: {exc}") from exc
+    rows = obj.get("entries", []) if isinstance(obj, dict) else None
+    if not isinstance(rows, list):
+        raise DataError(f"database {path} is not an object with a list of entries")
     version = obj.get("version")
     if version != DB_VERSION:
         raise UnknownVersion(f"cannot read version {version!r}, need {DB_VERSION!r}")
-    entries = tuple(
-        _entry_from_payload(i, row) for i, row in enumerate(obj.get("entries", []))
-    )
+    entries = tuple(_entry_from_payload(i, row) for i, row in enumerate(rows))
     return Database(
         version=version, provenance=obj.get("provenance", {}), entries=entries
     )
@@ -233,11 +236,7 @@ def build_entry(
         )
         if L is None:
             L = result.state.L
-        beta = result.state.beta
-        ranked = sorted(
-            result.log.ok_records(),
-            key=lambda r: (trial_cost(beta, r.bias, r.accuracy), r.index),
-        )
+        ranked = sorted(result.log.ok_records(), key=ranking(result.state.beta))
         chosen.extend(r.config for r in ranked[: bcfg.top_k])
 
     freq = Counter(cfg.component for cfg in chosen)

@@ -65,7 +65,7 @@ def cost(beta: float, f: float, a: float) -> float:
 
 def pseudo_cost(beta: float, a0: float) -> float:
     """Cost of the constant majority predictor; candidates must beat this."""
-    return (1.0 - beta) * (1.0 - a0)
+    return smbo.trial_cost(beta, 0.0, a0)
 
 
 def beta_lower_bound(a1: float, a0: float, f1: float) -> float:

@@ -25,11 +25,12 @@ from .model_zoo import (
     HyperparameterSpace,
     NumericOverflow,
     PipelineConfig,
+    decode_config,
+    encode_config,
     sample,
     space_default,
 )
 from .model_zoo._trees import RegressionTree
-from .tabular import round_half_up
 
 INIT_TRIALS = 10
 MIN_SURROGATE_TRIALS = 5
@@ -68,18 +69,8 @@ class TrialRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "config": self.config.to_dict(),
-            "accuracy": self.accuracy,
-            "bias": self.bias,
-            "cost": self.cost,
-            "beta": self.beta,
-            "wall_time": self.wall_time,
-            "status": self.status,
-            "proposal": self.proposal,
-            "error": self.error,
-        }
+        """Every field in declaration order, the config as its dict."""
+        return dict(vars(self), config=self.config.to_dict())
 
 
 @dataclass
@@ -118,43 +109,22 @@ def _seed_digest(seed) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config <-> vector encoding for the surrogate
-
-
-def encode_config(cfg: PipelineConfig, space: HyperparameterSpace) -> list:
-    """Component index, then each param's coordinate (`ParamDef.encode`).
-
-    Raises ValueError for a component or categorical value outside the space.
-    """
-    params = cfg.params
-    return [float(space.components.index(cfg.component))] + [
-        p.encode(params[p.name]) for p in space.params
-    ]
-
-
-def decode_config(vec, space: HyperparameterSpace) -> PipelineConfig:
-    comp_i = min(max(round_half_up(vec[0]), 0), len(space.components) - 1)
-    params = {p.name: p.decode(x) for x, p in zip(vec[1:], space.params)}
-    return PipelineConfig(space.algorithm, space.components[comp_i], params)
-
-
-# ---------------------------------------------------------------------------
 # acquisition
 
 
 def _expected_improvement(incumbent: float, mu, sigma):
-    out = np.empty_like(mu)
-    for i in range(len(mu)):
-        d = incumbent - mu[i]
-        s = sigma[i]
-        if s <= 0.0:
-            out[i] = max(d, 0.0)
-            continue
-        u = d / s
-        cdf = 0.5 * (1.0 + math.erf(u / math.sqrt(2.0)))
-        pdf = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        out[i] = d * cdf + s * pdf
-    return out
+    """EI of each candidate; max(d, 0) where the ensemble agrees (sigma 0).
+    erf and exp are math's, per candidate: numpy has no erf, and its exp
+    can differ from math.exp in the last bit."""
+    d = incumbent - mu
+    flat = sigma <= 0.0
+    s = np.where(flat, 1.0, sigma)  # a flat row's EI is taken from d alone
+    u = d / s
+    erf = np.array([math.erf(x) for x in (u / math.sqrt(2.0)).tolist()])
+    gauss = np.array([math.exp(x) for x in (-0.5 * u * u).tolist()])
+    cdf = 0.5 * (1.0 + erf)
+    pdf = gauss / math.sqrt(2.0 * math.pi)
+    return np.where(flat, np.where(0.0 > d, 0.0, d), d * cdf + s * pdf)
 
 
 def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
@@ -168,10 +138,8 @@ def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
         except ValueError:
             continue
         costs.append(r.cost)
-    if len(rows) < MIN_SURROGATE_TRIALS:
-        return sample(space, rng), "random"
-    if rng.uniform() < EXPLORATION:
-        return sample(space, rng), "random"
+    if len(rows) < MIN_SURROGATE_TRIALS or rng.uniform() < EXPLORATION:
+        return decode_config(sample(space, rng), space), "random"
     X = np.array(rows)
     y = np.array(costs)
     incumbent = float(y.min())
@@ -182,11 +150,13 @@ def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
         tree = RegressionTree(max_depth=8, min_leaf=1)
         tree.fit(X[idx], y[idx])
         trees.append(tree)
-    cands = [sample(space, rng) for _ in range(CANDIDATES)]
-    C = np.array([encode_config(c, space) for c in cands])
+    drawn = np.array([sample(space, rng) for _ in range(CANDIDATES)])
+    C = drawn.copy()  # each param column snapped to its config's coordinate
+    for j, p in enumerate(space.params, 1):
+        C[:, j] = [p.encode(p.decode(x)) for x in drawn[:, j].tolist()]
     preds = np.array([t.predict(C) for t in trees])
     ei = _expected_improvement(incumbent, preds.mean(axis=0), preds.std(axis=0))
-    return cands[int(np.argmax(ei))], "surrogate"
+    return decode_config(drawn[int(np.argmax(ei))].tolist(), space), "surrogate"
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +242,7 @@ def run(
             cfg = initial if initial is not None else space_default(space)
             return cfg, "default"
         if index <= INIT_TRIALS:
-            return sample(space, rng), "init"
+            return decode_config(sample(space, rng), space), "init"
         return _suggest_tagged(log, space, rng)
 
     def out_of_time(done):
@@ -302,14 +272,15 @@ def run(
     return log
 
 
+def ranking(beta: float):
+    """Sort key of ok trials: cost at `beta`, then index, so the earliest
+    of equal-cost trials comes first."""
+    return lambda r: (trial_cost(beta, r.bias, r.accuracy), r.index)
+
+
 def best(log: TrialLog, beta: float) -> TrialRecord:
     """The ok trial minimizing cost at `beta`; earliest index wins ties."""
-    winner = None
-    winner_cost = None
-    for r in log.ok_records():
-        c = trial_cost(beta, r.bias, r.accuracy)
-        if winner_cost is None or c < winner_cost:
-            winner, winner_cost = r, c
-    if winner is None:
+    ok = log.ok_records()
+    if not ok:
         raise NoSuccessfulTrial("every trial failed, nothing to return")
-    return winner
+    return min(ok, key=ranking(beta))

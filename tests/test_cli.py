@@ -180,6 +180,48 @@ def test_missing_data_file_exits_3(corpus, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_bad_db_files_exit_3(corpus, tmp_path, capsys):
+    bad = {
+        "not_json.json": "nope",
+        "not_object.json": "[1,2]",
+        "entries_not_list.json": json.dumps({"version": "fairfix-db/1", "entries": 5}),
+    }
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = main([
+            "repair", "--data", str(corpus / "data.csv"),
+            "--schema", str(corpus / "schema.json"),
+            "--model", "dtree", "--metric", "spd",
+            "--trials", "3", "--db", str(tmp_path / name), "--out", str(out),
+        ])
+        assert code == 3, name
+        assert capsys.readouterr().err.startswith("data error:"), name
+        assert not out.exists()
+
+
+def test_undefined_metric_outside_a_trial_exits_3(tmp_path, capsys):
+    # inside the search such a metric fails one trial; on the buggy model or
+    # in the mutation baseline it leaves the input without a verdict
+    for name, rows, disparity, seed in [("eod", 24, 0.8, 1), ("di", 120, 0.6, 0)]:
+        write_fixture(tmp_path / name, rows=rows, disparity=disparity, seed=seed)
+    data = {
+        name: ["--data", str(tmp_path / name / "data.csv"),
+               "--schema", str(tmp_path / name / "schema.json")]
+        for name in ("eod", "di")
+    }
+    for argv in [
+        ["repair", *data["eod"], "--model", "logreg", "--metric", "eod", "--trials", "5"],
+        ["baseline", *data["di"], "--model", "dtree", "--metric", "di"],
+        ["repair", *data["di"], "--model", "dtree", "--metric", "di", "--trials", "20"],
+    ]:
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err, argv
+        assert not out.exists()
+
+
 def test_usage_errors_exit_2(corpus, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([

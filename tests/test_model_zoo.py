@@ -13,6 +13,7 @@ from fairfix.model_zoo import (
     NumericOverflow,
     ParamDef,
     PipelineConfig,
+    decode_config,
     default_config,
     default_space,
     predict,
@@ -84,7 +85,7 @@ def test_sampling_in_domain():
     for a in AlgorithmKind:
         space = default_space(a)
         for _ in range(1000):
-            cfg = sample(space, rng)
+            cfg = decode_config(sample(space, rng), space)
             assert cfg.component in space.components
             for p in space.params:
                 assert p.contains(cfg.params[p.name]), (a, p.name, cfg.params[p.name])
@@ -92,12 +93,12 @@ def test_sampling_in_domain():
 
 def test_sampling_deterministic():
     space = default_space(AlgorithmKind.RANDOM_FOREST)
-    a = [sample(space, np.random.default_rng(5)).params for _ in range(3)]
+    a = [sample(space, np.random.default_rng(5)) for _ in range(3)]
     assert a[0] == a[1] == a[2]
 
 
 def direct_draw(p, rng):
-    """How a numeric was drawn before sampling went through ParamDef.decode."""
+    """How a numeric was drawn before a draw became a coordinate."""
     if p.lo == p.hi:
         return int(p.lo) if p.kind == "int" else float(p.lo)
     if p.scale == "log":
@@ -129,11 +130,11 @@ def narrowed_numerics(draw):
 @given(p=narrowed_numerics() | st.sampled_from(NUMERIC_PARAMS),
        seed=st.integers(0, 2**32 - 1))
 def test_sample_matches_the_direct_draw(p, seed):
-    # sample() draws decode(u) for one uniform u: the same values, bit for
-    # bit and of the same type, and the same generator state afterwards
+    # decode(draw()) is decode(u) for one uniform u: the same values, bit
+    # for bit and of the same type, and the same generator state afterwards
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(200):
-        v, w = p.sample(a), direct_draw(p, b)
+        v, w = p.decode(p.draw(a)), direct_draw(p, b)
         assert v == w and type(v) is type(w)
     assert a.bit_generator.state == b.bit_generator.state
 
@@ -162,13 +163,33 @@ def test_pinned_and_point_wide_ranges_encode_to_zero():
     for p in NUMERIC_PARAMS:
         pinned = p.narrowed(lo=p.hi, hi=p.hi)
         assert pinned.encode(pinned.lo) == 0.0
-        assert pinned.decode(0.3) == pinned.sample(np.random.default_rng(0)) == p.hi
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert pinned.draw(rng) == 0.0 and rng.bit_generator.state == state
+        assert pinned.decode(0.3) == pinned.decode(0.0) == p.hi
+
+
+def test_a_draw_is_a_row_of_coordinates():
+    space = default_space(AlgorithmKind.RANDOM_FOREST)
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        row = sample(space, rng)
+        assert len(row) == 1 + len(space.params)
+        assert all(type(x) is float for x in row)
+        for x, p in zip(row[1:], space.params):
+            if p.kind == "cat":
+                assert x in range(len(p.values))
+            else:
+                assert 0.0 <= x < 1.0
+        assert row[0] in range(len(space.components))
 
 
 def test_log_param_median_near_geometric_midpoint():
     space = default_space(AlgorithmKind.RANDOM_FOREST)
     rng = np.random.default_rng(2)
-    draws = [sample(space, rng).params["trees"] for _ in range(10_000)]
+    draws = [
+        decode_config(sample(space, rng), space).params["trees"] for _ in range(10_000)
+    ]
     med = float(np.median(draws))
     assert 64 / 1.3 <= med <= 64 * 1.3
 
@@ -177,7 +198,10 @@ def test_categorical_sampling_uniform():
     space = default_space(AlgorithmKind.DECISION_TREE)
     rng = np.random.default_rng(3)
     n = 10_000
-    gini = sum(sample(space, rng).params["criterion"] == "gini" for _ in range(n))
+    gini = sum(
+        decode_config(sample(space, rng), space).params["criterion"] == "gini"
+        for _ in range(n)
+    )
     # binomial(n, 1/2): 5 sigma band
     assert abs(gini - n / 2) <= 5 * math.sqrt(n * 0.25)
 
@@ -187,7 +211,7 @@ def test_config_dict_round_trip():
     for a in AlgorithmKind:
         space = default_space(a)
         for _ in range(50):
-            cfg = sample(space, rng)
+            cfg = decode_config(sample(space, rng), space)
             again = PipelineConfig.from_dict(cfg.to_dict())
             assert again == cfg
 

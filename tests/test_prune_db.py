@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from fairfix import smbo
 from fairfix.metrics import MetricKind
-from fairfix.model_zoo import AlgorithmKind, ComponentKind, ParamDef, default_space, sample
+from fairfix.model_zoo import (
+    AlgorithmKind,
+    ComponentKind,
+    ParamDef,
+    decode_config,
+    default_space,
+    encode_config,
+    sample,
+)
 from fairfix.prune_db import (
     BuildConfig,
     Database,
@@ -84,7 +92,7 @@ def test_entry_space_pins_and_restricts():
     assert space.components == (ComponentKind.NONE, ComponentKind.REBALANCE)
     rng = np.random.default_rng(0)
     for _ in range(300):
-        cfg = sample(space, rng)
+        cfg = decode_config(sample(space, rng), space)
         assert 3 <= cfg.params["max_depth"] <= 7
         assert cfg.params["min_leaf"] == 4
         assert cfg.params["criterion"] == "entropy"
@@ -121,11 +129,11 @@ def test_entry_rejects_foreign_params_and_bad_ranges():
 def test_pinned_param_encodes_to_zero():
     e = entry(params={"min_leaf": dict(lo=4, hi=4)})
     space = e.space()
-    cfg = sample(space, np.random.default_rng(1))
-    vec = smbo.encode_config(cfg, space)
+    cfg = decode_config(sample(space, np.random.default_rng(1)), space)
+    vec = encode_config(cfg, space)
     j = 1 + [p.name for p in space.params].index("min_leaf")
     assert vec[j] == 0.0
-    assert smbo.decode_config(vec, space).params["min_leaf"] == 4
+    assert decode_config(vec, space).params["min_leaf"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def test_load_never_widens_the_default_space(rows, tmp_path_factory):
                 assert declared.contains(p.lo) and declared.contains(p.hi)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            cfg = sample(e.space(), rng)
+            cfg = decode_config(sample(e.space(), rng), e.space())
             assert all(d.contains(cfg.params[d.name]) for d in space.params)
 
 
@@ -374,7 +382,7 @@ def test_build_entry_aggregates_runs(tmp_path):
     space = e.space()
     rng = np.random.default_rng(0)
     for _ in range(100):
-        cfg = sample(space, rng)
+        cfg = decode_config(sample(space, rng), space)
         for p in space.params:
             assert p.contains(cfg.params[p.name])
     # entries built this way survive a save/load round trip unchanged

@@ -7,11 +7,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairfix import model_zoo, repair_core
+from fairfix import model_zoo, repair_core, smbo
 from fairfix.fairea import TradeoffRegion
 from fairfix.metrics import MetricKind, bias_value
-from fairfix.model_zoo import AlgorithmKind, default_config, default_space, sample
+from fairfix.model_zoo import (
+    AlgorithmKind,
+    decode_config,
+    default_config,
+    default_space,
+    sample,
+)
 from fairfix.prune_db import BuildConfig, Database, build_entry
 from fairfix.repair_core import (
     EPSILON,
@@ -62,6 +70,15 @@ def test_pseudo_cost_definition():
     assert pseudo_cost(0.5, 0.8) == pytest.approx(0.10)
     assert pseudo_cost(0.3, 1.0) == 0.0
     assert pseudo_cost(0.99, 0.5) == pytest.approx(0.005)
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=st.floats(0.0, 1e6), a0=st.floats(-1e6, 1e6))
+def test_pseudo_cost_is_the_trial_cost_at_zero_bias(beta, a0):
+    # one cost formula: the trial cost at zero bias, equal to the closed form
+    got = pseudo_cost(beta, a0)
+    assert got == (1.0 - beta) * (1.0 - a0)
+    assert got == smbo.trial_cost(beta, 0.0, a0)
 
 
 def test_beta_lower_bound_examples():
@@ -300,7 +317,8 @@ def test_objective_scores_like_the_dataset_path_and_reuses_outcomes(monkeypatch)
     objective = repair_core._TrialObjective(
         train_fm, encode(val_ds, train_fm.encoder), MetricKind.SPD, 3
     )
-    cfg = sample(default_space(AlgorithmKind.LOGISTIC_REGRESSION), np.random.default_rng(1))
+    space = default_space(AlgorithmKind.LOGISTIC_REGRESSION)
+    cfg = decode_config(sample(space, np.random.default_rng(1)), space)
     yhat = model_zoo.predict(model_zoo.train(cfg, train_ds, seed=3), val_ds)
     expected = (
         float((yhat == val_ds.y).mean()),

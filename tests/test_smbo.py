@@ -9,28 +9,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_smbo as ref
+from fairfix import smbo
 from fairfix.metrics import UndefinedRate
 from fairfix.model_zoo import (
     AlgorithmKind,
     ComponentKind,
     HyperparameterSpace,
     ParamDef,
+    decode_config,
     default_space,
+    encode_config,
     sample,
     space_default,
 )
+from fairfix.model_zoo._trees import RegressionTree
 from fairfix.prune_db import DatabaseEntry
 from fairfix.smbo import (
     BudgetExhaustedNoTrials,
     NoSuccessfulTrial,
     TrialLog,
     TrialRecord,
+    _expected_improvement,
     _suggest_tagged,
     best,
-    decode_config,
-    encode_config,
+    ranking,
     run,
 )
+
+
+def draw_config(space, rng):
+    return decode_config(sample(space, rng), space)
 
 
 def fixture_space():
@@ -226,7 +235,7 @@ def test_suggestions_stay_in_domain():
     rng = np.random.default_rng(9)
     log = TrialLog(rng_digest="0")
     for i in range(12):
-        cfg = sample(space, rng)
+        cfg = draw_config(space, rng)
         log.append(
             TrialRecord(i, cfg, 0.8, float(rng.uniform(0, 0.3)),
                         float(rng.uniform(0.1, 0.4)), 0.3, 0.0, "ok", "init")
@@ -251,12 +260,12 @@ def test_suggest_ignores_records_outside_the_space():
     )
     rng = np.random.default_rng(3)
     log = TrialLog(rng_digest="0")
-    foreign = sample(full, np.random.default_rng(0))
+    foreign = draw_config(full, np.random.default_rng(0))
     foreign = type(foreign)(foreign.algorithm, ComponentKind.NONE,
                             dict(foreign.params, criterion="gini"))
     log.append(TrialRecord(0, foreign, 0.9, 0.1, 0.2, 0.3, 0.0, "ok", "default"))
     for i in range(1, 13):
-        log.append(TrialRecord(i, sample(pruned, rng), 0.8,
+        log.append(TrialRecord(i, draw_config(pruned, rng), 0.8,
                                float(rng.uniform(0, 0.3)),
                                float(rng.uniform(0.1, 0.4)), 0.3, 0.0, "ok", "init"))
     for _ in range(100):
@@ -271,7 +280,7 @@ def test_suggest_ignores_records_outside_the_space():
 
 def fake_record(i, acc, bias):
     space = fixture_space()
-    return TrialRecord(i, sample(space, np.random.default_rng(i)), acc, bias,
+    return TrialRecord(i, draw_config(space, np.random.default_rng(i)), acc, bias,
                        None, 0.0, 0.0, "ok", "init")
 
 
@@ -296,6 +305,15 @@ def test_best_tie_goes_to_earliest():
     assert best(log, 0.5).index == 0
 
 
+def test_best_is_the_first_in_ranking_order():
+    for log in parabola_logs()[:3]:
+        for beta in (0.0, 0.3, 0.9):
+            ranked = sorted(log.ok_records(), key=ranking(beta))
+            assert best(log, beta) is ranked[0]
+            costs = [ranking(beta)(r) for r in ranked]
+            assert costs == sorted(costs)
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
@@ -305,7 +323,7 @@ def test_encode_decode_round_trip():
     for algo in AlgorithmKind:
         space = default_space(algo)
         for _ in range(2000):
-            cfg = sample(space, rng)
+            cfg = draw_config(space, rng)
             again = decode_config(encode_config(cfg, space), space)
             assert again.algorithm is cfg.algorithm
             assert again.component is cfg.component
@@ -347,7 +365,7 @@ def pruned_spaces(draw):
 @given(space=pruned_spaces(), seed=st.integers(0, 2**32 - 1))
 def test_encode_decode_round_trip_on_pruned_spaces(space, seed):
     rng = np.random.default_rng(seed)
-    for cfg in [space_default(space)] + [sample(space, rng) for _ in range(20)]:
+    for cfg in [space_default(space)] + [draw_config(space, rng) for _ in range(20)]:
         again = decode_config(encode_config(cfg, space), space)
         assert (again.algorithm, again.component) == (cfg.algorithm, cfg.component)
         for p in space.params:
@@ -363,5 +381,113 @@ def test_encoding_normalizes_numerics():
     space = default_space(AlgorithmKind.GRADIENT_BOOSTING)
     rng = np.random.default_rng(14)
     for _ in range(500):
-        vec = encode_config(sample(space, rng), space)
+        vec = encode_config(draw_config(space, rng), space)
         assert all(0.0 <= x <= 1.0 for x in vec[1:])
+
+
+# ---------------------------------------------------------------------------
+# row sampling and acquisition against the reference oracles
+
+
+spaces = st.sampled_from([default_space(a) for a in AlgorithmKind]) | pruned_spaces()
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces, seed=st.integers(0, 2**32 - 1))
+def test_decoded_draws_match_the_per_config_sampler(space, seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(30):
+        cfg, want = decode_config(sample(space, a), space), ref.sample_config(space, b)
+        assert cfg == want
+        assert all(type(cfg.params[k]) is type(v) for k, v in want.params.items())
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def random_log(space, rng, n=12):
+    log = TrialLog(rng_digest="0")
+    for i in range(n):
+        log.append(TrialRecord(i, draw_config(space, rng), 0.8, 0.1,
+                               float(rng.uniform(0.1, 0.4)), 0.3, 0.0, "ok", "init"))
+    return log
+
+
+def spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records (args, result) per call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=spaces, seed=st.integers(0, 2**32 - 1))
+def test_snapped_candidates_are_the_encoded_configs(space, seed):
+    rng = np.random.default_rng(seed)
+    log = random_log(space, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smbo, "EXPLORATION", 0.0)  # always take the surrogate path
+        draws = spy(mp, smbo, "sample")
+        predicts = spy(mp, RegressionTree, "predict")
+        _, tag = _suggest_tagged(log, space, rng)
+    assert tag == "surrogate"
+    rows = [row for _, row in draws]
+    assert len(rows) == smbo.CANDIDATES
+    C = predicts[-1][0][1]
+    want = np.array([encode_config(decode_config(row, space), space) for row in rows])
+    assert C.dtype == want.dtype and C.tobytes() == want.tobytes()
+
+
+def test_every_draw_is_a_sample_and_each_trial_decodes_once(monkeypatch):
+    draws = spy(monkeypatch, smbo, "sample")
+    decodes = spy(monkeypatch, smbo, "decode_config")
+    log = run(parabola, fixture_space(), 20, seed=3)
+    tags = [r.proposal for r in log.records]
+    assert "surrogate" in tags
+    per_trial = {"init": 1, "random": 1, "surrogate": smbo.CANDIDATES}
+    assert len(draws) == sum(per_trial.get(t, 0) for t in tags)
+    assert [cfg for _, cfg in decodes] == [r.config for r in log.records[1:]]
+
+
+def test_a_surrogate_proposal_decodes_one_config(monkeypatch):
+    space = default_space(AlgorithmKind.DECISION_TREE)
+    rng = np.random.default_rng(21)
+    log = random_log(space, rng)
+    monkeypatch.setattr(smbo, "EXPLORATION", 0.0)
+    decodes = spy(monkeypatch, smbo, "decode_config")
+    for _ in range(3):
+        cfg, tag = _suggest_tagged(log, space, rng)
+        assert tag == "surrogate" and decodes[-1][1] is cfg
+    assert len(decodes) == 3
+
+
+finite = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    incumbent=finite,
+    pairs=st.lists(
+        st.tuples(finite, st.just(0.0) | st.floats(-1.0, 1e3)), min_size=1, max_size=40
+    ),
+)
+def test_array_ei_matches_the_per_candidate_loop(incumbent, pairs):
+    mu = np.array([m for m, _ in pairs])
+    sigma = np.array([s for _, s in pairs])
+    with np.errstate(all="ignore"):  # d / s overflows on a subnormal sigma
+        got = _expected_improvement(incumbent, mu, sigma)
+        want = ref.expected_improvement(incumbent, mu, sigma)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_array_ei_on_flat_and_agreeing_rows():
+    mu = np.array([0.1, 0.3, 0.2, 0.2, 0.5])
+    sigma = np.array([0.0, 0.0, 0.05, 1e-300, 0.2])
+    got = _expected_improvement(0.2, mu, sigma)
+    assert got.tobytes() == ref.expected_improvement(0.2, mu, sigma).tobytes()
+    assert got[0] == pytest.approx(0.1) and got[1] == 0.0
