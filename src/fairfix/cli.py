@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -38,7 +37,7 @@ from .prune_db import (
     save as save_db,
 )
 from .repair_core import DEFAULT_TRAIN_FRACTION, AlreadyFair, RepairConfig, repair
-from .tabular import DataError, Schema, load_csv, split
+from .tabular import DataError, Schema, load_csv, read_json, split
 
 log = logging.getLogger("fairfix.cli")
 
@@ -66,7 +65,6 @@ def cmd_repair(args) -> int:
         trials=args.trials,
         seconds=args.seconds,
         seed=args.seed,
-        workers=args.workers,
     )
     db = load_db(args.db) if args.db else None
     result = repair(ds, AlgorithmKind(args.model), cfg, db)
@@ -104,10 +102,7 @@ def cmd_baseline(args) -> int:
 def cmd_build_db(args) -> int:
     corpus = Path(args.corpus)
     manifest_path = corpus / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read corpus manifest {manifest_path}: {exc}") from exc
+    manifest = read_json(manifest_path, "corpus manifest")
     if not isinstance(manifest, list):
         raise DataError("corpus manifest must be a JSON array")
 
@@ -117,7 +112,6 @@ def cmd_build_db(args) -> int:
         top_k=args.top_k,
         top_m=args.top_m,
         dev=args.dev,
-        workers=args.workers,
     )
     entries = []
     row_seeds = np.random.SeedSequence(args.seed).generate_state(max(len(manifest), 1))
@@ -151,13 +145,11 @@ def cmd_build_db(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-        baseline = TradeoffBaseline.from_json(
-            Path(args.baseline).read_text(encoding="utf-8")
-        )
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"cannot read evaluation inputs: {exc}") from exc
+    report = read_json(args.report, "report")
+    baseline = TradeoffBaseline.from_payload(read_json(args.baseline, "baseline"))
+    if not isinstance(report, dict):
+        raise DataError(f"report {args.report} is not a JSON object")
+    candidate = TradeoffPoint.from_payload(report.get("repaired"), "report repaired")
     if report.get("metric") != baseline.metric.value:
         print(
             f"metric mismatch: report={report.get('metric')!r}"
@@ -165,9 +157,6 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    candidate = TradeoffPoint(
-        bias=report["repaired"]["bias"], acc=report["repaired"]["acc"]
-    )
     region = classify_region(baseline, candidate)
     print(f"region={region.value}")
     return 0 if region in (TradeoffRegion.GOOD, TradeoffRegion.WIN) else 1
@@ -211,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional wall-clock cap on top of --trials")
     r.add_argument("--seed", type=non_negative_int, default=0)
     r.add_argument("--db", default=None, help="pruned search-space database")
-    r.add_argument("--workers", type=positive_int, default=1)
     r.add_argument("--out", required=True, help="report JSON path")
     r.set_defaults(func=cmd_repair)
 
@@ -234,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--top-m", type=positive_int, default=build.top_m, dest="top_m")
     d.add_argument("--dev", type=positive_float, default=build.dev)
     d.add_argument("--seed", type=non_negative_int, default=0)
-    d.add_argument("--workers", type=positive_int, default=build.workers)
     d.add_argument("--out", required=True, help="database JSON path")
     d.set_defaults(func=cmd_build_db)
 

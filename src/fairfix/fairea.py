@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .metrics import MetricKind, bias_value
 from .model_zoo import FittedPipeline, predict
-from .tabular import Dataset, FeatureMatrix, round_half_up
+from .tabular import DataError, Dataset, FeatureMatrix, round_half_up
 
 DEFAULT_DEGREES = tuple(d / 10 for d in range(1, 11))
 DEFAULT_REPETITIONS = 50
@@ -38,6 +39,22 @@ class TradeoffPoint:
 
     bias: float
     acc: float
+
+    @classmethod
+    def from_payload(cls, obj, where: str) -> "TradeoffPoint":
+        """The point a parsed {"bias": b, "acc": a} object holds; DataError
+        unless both are finite numbers."""
+        return cls(bias=_number(obj, "bias", where), acc=_number(obj, "acc", where))
+
+
+def _number(obj, key: str, where: str):
+    """obj[key]; DataError unless obj is a dict and obj[key] a finite number.
+    abs(nan) <= max is False, and a large int compares exactly."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise DataError(f"{where} {key} is not a finite number: {value!r:.80}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,19 +82,28 @@ class TradeoffBaseline:
 
     @classmethod
     def from_json(cls, text: str) -> "TradeoffBaseline":
-        payload = json.loads(text)
+        return cls.from_payload(json.loads(text))
+
+    @classmethod
+    def from_payload(cls, payload) -> "TradeoffBaseline":
+        """A baseline from parsed `to_json` output; DataError if it holds none."""
+        rows = payload.get("points") if isinstance(payload, dict) else None
+        if not (isinstance(rows, list) and rows):  # the curve ends at degree 1
+            raise DataError("baseline is not an object with a non-empty list of points")
+        try:
+            metric = MetricKind(payload.get("metric"))
+        except ValueError as exc:
+            raise DataError(f"baseline metric: {exc}") from None
         return cls(
-            metric=MetricKind(payload["metric"]),
-            original=TradeoffPoint(
-                payload["original"]["bias"], payload["original"]["acc"]
-            ),
-            a0=payload["a0"],
+            metric=metric,
+            original=TradeoffPoint.from_payload(payload.get("original"), "baseline"),
+            a0=_number(payload, "a0", "baseline"),
             points=tuple(
-                (row["degree"], TradeoffPoint(row["bias"], row["acc"]))
-                for row in payload["points"]
+                (_number(r, "degree", "point"), TradeoffPoint.from_payload(r, "point"))
+                for r in rows
             ),
-            repetitions=payload["repetitions"],
-            seed=payload["seed"],
+            repetitions=payload.get("repetitions"),
+            seed=payload.get("seed"),
         )
 
 

@@ -45,12 +45,6 @@ class NonPositiveDI(ValueError):
 
 
 @dataclass(frozen=True)
-class BiasScore:
-    value: float
-    kind: MetricKind
-
-
-@dataclass(frozen=True)
 class GroupCounts:
     """Joint occurrence counts indexed cells[z, y, yhat]."""
 
@@ -133,21 +127,21 @@ def raw_metric(kind: MetricKind, c: GroupCounts):
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def bias_score(kind: MetricKind, raw, cap: float = DEFAULT_DI_CAP) -> BiasScore:
+def bias_score(kind: MetricKind, raw) -> float:
     """Fold a raw metric value into a >=0 score (0 = perfectly fair)."""
     if raw is RateSentinel.BOTH_RATES_ZERO:
-        return BiasScore(0.0, kind)
+        return 0.0
     if raw is RateSentinel.INFINITE_DI:
-        return BiasScore(float(cap), kind)
+        return DEFAULT_DI_CAP
     if kind is MetricKind.DI:
         if raw <= 0.0:
             raise NonPositiveDI(f"cannot take log of DI ratio {raw!r}")
-        return BiasScore(abs(math.log(raw)), kind)
+        return abs(math.log(raw))
     if kind in (MetricKind.SPD, MetricKind.EOD):
-        return BiasScore(abs(raw), kind)
-    return BiasScore(float(raw), kind)  # AOD is >=0 by construction
+        return abs(raw)
+    return float(raw)  # AOD is >=0 by construction
 
 
-def bias_value(kind: MetricKind, y, yhat, z, cap: float = DEFAULT_DI_CAP) -> float:
-    """Convenience chain: counts -> raw metric -> bias score value."""
-    return bias_score(kind, raw_metric(kind, group_counts(y, yhat, z)), cap).value
+def bias_value(kind: MetricKind, y, yhat, z) -> float:
+    """Convenience chain: counts -> raw metric -> bias score."""
+    return bias_score(kind, raw_metric(kind, group_counts(y, yhat, z)))

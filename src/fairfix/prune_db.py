@@ -26,7 +26,7 @@ from .model_zoo import (
     default_space,
 )
 from .smbo import ranking
-from .tabular import DataCharacteristics, DataError, Dataset, characteristics
+from .tabular import DataCharacteristics, DataError, Dataset, characteristics, read_json
 
 DB_VERSION = "fairfix-db/1"
 
@@ -165,10 +165,7 @@ def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
 def load(path) -> Database:
     """Read a database file; each spec narrows its declared param
     (`ParamDef.narrowed`), so a stale file can never widen the search."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise DataError(f"database {path} is not JSON: {exc}") from exc
+    obj = read_json(path, "database")
     rows = obj.get("entries", []) if isinstance(obj, dict) else None
     if not isinstance(rows, list):
         raise DataError(f"database {path} is not an object with a list of entries")
@@ -189,7 +186,6 @@ class BuildConfig:
     top_m: int = 3
     dev: float = 1.0
     metric: MetricKind = MetricKind.SPD
-    workers: int = 1
 
     def __post_init__(self):
         if min(self.runs, self.trials, self.top_k, self.top_m) < 1:
@@ -227,12 +223,7 @@ def build_entry(
         result = repair(
             ds,
             algorithm,
-            RepairConfig(
-                metric=bcfg.metric,
-                trials=bcfg.trials,
-                seed=int(run_seed),
-                workers=bcfg.workers,
-            ),
+            RepairConfig(metric=bcfg.metric, trials=bcfg.trials, seed=int(run_seed)),
         )
         if L is None:
             L = result.state.L

@@ -142,15 +142,12 @@ class RepairConfig:
     trials: int
     seconds: float | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seconds is not None and self.seconds <= 0:
             raise ValueError("seconds must be positive when given")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -190,7 +187,7 @@ class RepairResult:
 
 
 class _TrialObjective:
-    """Picklable train-and-score closure over the split, encoded once.
+    """Train-and-score closure over the split, encoded once.
 
     A trial fits on the encoded train matrix and scores on the encoded val
     matrix; no cell is re-parsed. Training reseeds from `seed`, so a config
@@ -282,7 +279,6 @@ def repair(
         beta_fn=beta_fn,
         on_trial=on_trial,
         initial=buggy_cfg,
-        workers=cfg.workers,
         deadline=deadline,
     )
     final = holder["state"]

@@ -2,20 +2,16 @@
 
 SMAC-style loop: the default configuration first, a short random design,
 then an ensemble of regression trees scoring random candidates by expected
-improvement. Trial evaluation may fan out to a process pool; proposals and
-log appends stay serialized so a fixed seed and worker count reproduce the
-same log.
+improvement. One trial at a time, in this process: propose, evaluate,
+record; a fixed seed reproduces the same log.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,41 +169,6 @@ def _call_objective(objective, cfg):
         return "failed", None, None, err, time.perf_counter() - start
 
 
-# a pool worker's copy of the objective, shipped once by the pool initializer
-_worker_objective = None
-
-
-def _install_objective(objective):
-    global _worker_objective
-    _worker_objective = objective
-
-
-def _call_worker_objective(cfg):
-    return _call_objective(_worker_objective, cfg)
-
-
-def _record_outcome(outcome, cfg, tag, index, beta_fn, log, on_trial):
-    status, acc, bias, err, elapsed = outcome
-    beta = float(beta_fn())
-    cost = trial_cost(beta, bias, acc) if status == "ok" else None
-    record = TrialRecord(
-        index=index,
-        config=cfg,
-        accuracy=acc,
-        bias=bias,
-        cost=cost,
-        beta=beta,
-        wall_time=elapsed,
-        status=status,
-        proposal=tag,
-        error=err,
-    )
-    log.append(record)
-    if on_trial is not None:
-        on_trial(record)
-    return record
-
-
 def run(
     objective,
     space: HyperparameterSpace,
@@ -216,7 +177,6 @@ def run(
     beta_fn=None,
     on_trial=None,
     initial: PipelineConfig | None = None,
-    workers: int = 1,
     deadline: float | None = None,
 ) -> TrialLog:
     """Evaluate up to `budget` configurations and return the trial log.
@@ -224,51 +184,43 @@ def run(
     objective: config -> (accuracy, bias score); raising one of
     FAILED_TRIAL_CAUSES records a failed trial instead of aborting the run.
     beta_fn supplies the weight each trial's cost is recorded at; on_trial
-    fires once per completed trial, in index order. Trials run in batches of
-    `workers`; a deadline (absolute time.monotonic value) stops the loop at
-    the first batch boundary after it passes, after at least one trial.
+    fires once per completed trial, in index order. A deadline (absolute
+    time.monotonic value) stops the loop after the trial during which it
+    passes, after at least one trial.
     """
     if budget < 1:
         raise BudgetExhaustedNoTrials(f"budget must be >= 1, got {budget}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if beta_fn is None:
         beta_fn = lambda: 0.0  # noqa: E731
     rng = np.random.default_rng(seed)
     log = TrialLog(rng_digest=_seed_digest(seed))
-
-    def propose(index):
+    for index in range(budget):
+        if index > 0 and deadline is not None and time.monotonic() >= deadline:
+            break
         if index == 0:
             cfg = initial if initial is not None else space_default(space)
-            return cfg, "default"
-        if index <= INIT_TRIALS:
-            return decode_config(sample(space, rng), space), "init"
-        return _suggest_tagged(log, space, rng)
-
-    def out_of_time(done):
-        return done > 0 and deadline is not None and time.monotonic() >= deadline
-
-    # proposals come from the log as frozen at the batch start, and results
-    # are appended in index order at the batch barrier; with one worker a
-    # batch is one trial, evaluated in this process. A pool worker receives
-    # the objective once, and a task carries only its config
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_install_objective, initargs=(objective,)
+            tag = "default"
+        elif index <= INIT_TRIALS:
+            cfg, tag = decode_config(sample(space, rng), space), "init"
+        else:
+            cfg, tag = _suggest_tagged(log, space, rng)
+        status, acc, bias, err, elapsed = _call_objective(objective, cfg)
+        beta = float(beta_fn())
+        record = TrialRecord(
+            index=index,
+            config=cfg,
+            accuracy=acc,
+            bias=bias,
+            cost=trial_cost(beta, bias, acc) if status == "ok" else None,
+            beta=beta,
+            wall_time=elapsed,
+            status=status,
+            proposal=tag,
+            error=err,
         )
-        evaluate = functools.partial(pool.map, _call_worker_objective)
-    else:
-        pool = contextlib.nullcontext()
-        evaluate = functools.partial(map, lambda cfg: _call_objective(objective, cfg))
-    with pool:
-        done = 0
-        while done < budget and not out_of_time(done):
-            width = min(workers, budget - done)
-            proposals = [propose(done + j) for j in range(width)]
-            outcomes = list(evaluate([cfg for cfg, _ in proposals]))
-            for j, ((cfg, tag), outcome) in enumerate(zip(proposals, outcomes)):
-                _record_outcome(outcome, cfg, tag, done + j, beta_fn, log, on_trial)
-            done += width
+        log.append(record)
+        if on_trial is not None:
+            on_trial(record)
     return log
 
 

@@ -50,6 +50,27 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def read_json(path, what: str):
+    """The value a UTF-8 JSON file holds; DataError when it holds none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # not UTF-8, not JSON, or nested too deep for the decoder
+    except (ValueError, RecursionError) as e:
+        raise DataError(f"{what} {path} is not UTF-8 JSON: {e}") from None
+
+
+def _schema_value_ok(key: str, value) -> bool:
+    """Whether a schema file's `key` may hold `value`: a string for a column
+    name, a string or a number for a cell value, a list of strings for
+    `drop` and `categorical`."""
+    if key in ("drop", "categorical"):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if key in ("favorable", "unprivileged") and isinstance(value, (int, float)):
+        return not isinstance(value, bool)
+    return isinstance(value, str)
+
+
 @dataclass(frozen=True)
 class Schema:
     label: str
@@ -71,19 +92,28 @@ class Schema:
 
     @classmethod
     def from_json(cls, path) -> "Schema":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        """Read a schema file; DataError unless it is a UTF-8 JSON object
+        whose keys hold values of the documented types."""
+        obj = read_json(path, "schema file")
+        if not isinstance(obj, dict):
+            raise DataError(f"schema file {path} is not a JSON object")
         try:
-            return cls(
-                label=obj["label"],
-                favorable=obj["favorable"],
-                protected=obj["protected"],
-                unprivileged=obj["unprivileged"],
-                drop=tuple(obj.get("drop", ())),
-                categorical=tuple(obj.get("categorical", ())),
-            )
+            fields = {
+                key: obj[key]
+                for key in ("label", "favorable", "protected", "unprivileged")
+            }
         except KeyError as e:
             raise DataError(f"schema file {path} missing key {e}") from None
+        fields.update(drop=obj.get("drop", []), categorical=obj.get("categorical", []))
+        for key, value in fields.items():
+            if not _schema_value_ok(key, value):
+                raise DataError(
+                    f"schema file {path}: {key!r} has the wrong type: {value!r:.80}"
+                )
+        try:
+            return cls(**fields)
+        except ValueError as e:
+            raise DataError(f"schema file {path}: {e}") from None
 
     def _payload(self) -> dict:
         return {
@@ -178,13 +208,16 @@ class DataCharacteristics(NamedTuple):
 
 def load_csv(path, schema: Schema) -> Dataset:
     """Load an RFC-4180 CSV with header; rows with missing cells are dropped."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyAfterCleaning(f"{path} is empty") from None
-        rows = [[c.strip() for c in row] for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [[c.strip() for c in row] for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path} is not a UTF-8 CSV file: {e}") from None
+    if header is None:
+        raise EmptyAfterCleaning(f"{path} is empty")
+    header = [h.strip() for h in header]
 
     for col in (schema.label, schema.protected, *schema.drop, *schema.categorical):
         if col not in header:

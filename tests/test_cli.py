@@ -1,18 +1,25 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfix.cli import build_parser, main
 from fairfix.fairea import TradeoffBaseline
 from fairfix.prune_db import BuildConfig, load as load_db
-from fairfix.synth import write_fixture
+from fairfix.synth import fixture_schema, write_fixture
+
+NOT_UTF8 = b"\xff\xfe\x00"
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +176,16 @@ def test_build_db_without_manifest_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_build_db_with_a_manifest_not_utf8_exits_3(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_bytes(NOT_UTF8)
+    code = main([
+        "build-db", "--corpus", str(tmp_path), "--seed", "0",
+        "--out", str(tmp_path / "db.json"),
+    ])
+    assert code == 3
+    assert "data error" in capsys.readouterr().err
+
+
 def test_missing_data_file_exits_3(corpus, tmp_path, capsys):
     code = main([
         "repair", "--data", str(tmp_path / "nope.csv"),
@@ -185,6 +202,7 @@ def test_bad_db_files_exit_3(corpus, tmp_path, capsys):
         "not_json.json": "nope",
         "not_object.json": "[1,2]",
         "entries_not_list.json": json.dumps({"version": "fairfix-db/1", "entries": 5}),
+        "nested_too_deep.json": "[" * 100_000,
     }
     for name, text in bad.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -198,6 +216,176 @@ def test_bad_db_files_exit_3(corpus, tmp_path, capsys):
         assert code == 3, name
         assert capsys.readouterr().err.startswith("data error:"), name
         assert not out.exists()
+
+
+def schema_bytes(**changes):
+    """The fixture schema's JSON with `changes` applied to its keys."""
+    payload = json.loads(fixture_schema().to_json())
+    payload.update(changes)
+    return json.dumps(payload).encode("utf-8")
+
+
+@pytest.mark.parametrize("name, contents", [
+    ("data.csv", NOT_UTF8),
+    ("schema.json", NOT_UTF8),
+    ("schema.json", b"[1]"),
+    ("schema.json", b'"outcome"'),
+    ("schema.json", b"null"),
+    ("schema.json", b"label: outcome"),
+    ("schema.json", schema_bytes(drop=5)),
+    ("schema.json", schema_bytes(label="group")),  # label == protected
+    ("schema.json", b"[" * 100_000),
+], ids=[
+    "csv-not-utf8", "schema-not-utf8", "schema-array", "schema-string",
+    "schema-null", "schema-not-json", "schema-drop-5", "schema-label-is-protected",
+    "schema-nested-too-deep",
+])
+def test_bad_schema_or_csv_file_exits_3(tmp_path, capsys, name, contents):
+    write_fixture(tmp_path, rows=300)
+    (tmp_path / name).write_bytes(contents)
+    out = tmp_path / "r.json"
+    code = main([
+        "repair", "--data", str(tmp_path / "data.csv"),
+        "--schema", str(tmp_path / "schema.json"),
+        "--model", "dtree", "--metric", "spd", "--trials", "3", "--out", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda report, baseline: ({k: report[k] for k in report if k != "repaired"}, baseline),
+    lambda report, baseline: ([report], baseline),
+    lambda report, baseline: (report, dict(baseline, metric="xyz")),
+    lambda report, baseline: (b"[" * 100_000, baseline),
+    lambda report, baseline: (dict(report, repaired={"bias": math.nan, "acc": 0}), baseline),
+    lambda report, baseline: (report, dict(baseline, points=[])),
+], ids=[
+    "report-without-repaired", "report-array", "baseline-metric-xyz",
+    "report-nested-too-deep", "report-bias-nan", "baseline-without-points",
+])
+def test_malformed_evaluate_input_exits_3(repair_outputs, tmp_path, capsys, corrupt):
+    report_path, baseline_path = repair_outputs
+    files = corrupt(
+        json.loads(report_path.read_text(encoding="utf-8")),
+        json.loads(baseline_path.read_text(encoding="utf-8")),
+    )
+    for name, payload in zip(("r.json", "b.json"), files):
+        text = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        (tmp_path / name).write_bytes(text)
+    code = main([
+        "evaluate", "--report", str(tmp_path / "r.json"),
+        "--baseline", str(tmp_path / "b.json"),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files: every case ends in a documented exit code, never an
+# exception out of main()
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+SCHEMA_KEYS = ("label", "favorable", "protected", "unprivileged", "drop", "categorical")
+
+
+def wrong_schema_value(key):
+    """JSON values that a schema file's `key` may not hold."""
+    if key in ("drop", "categorical"):
+        return JSON_VALUES.filter(
+            lambda v: not (isinstance(v, list) and all(isinstance(x, str) for x in v))
+        )
+    if key in ("favorable", "unprivileged"):  # a string or a number
+        return JSON_VALUES.filter(lambda v: v is None or isinstance(v, (bool, list, dict)))
+    return JSON_VALUES.filter(lambda v: not isinstance(v, str))
+
+
+BAD_SCHEMA_FILES = st.binary(max_size=64) | st.sampled_from(SCHEMA_KEYS).flatmap(
+    lambda key: wrong_schema_value(key).map(lambda v: schema_bytes(**{key: v}))
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_quietly(argv):
+    """main(argv) with its output captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(contents=BAD_SCHEMA_FILES)
+def test_fuzzed_schema_file_exits_3(corpus, fuzz_dir, contents):
+    (fuzz_dir / "schema.json").write_bytes(contents)
+    code, err = run_quietly([
+        "repair", "--data", str(corpus / "data.csv"),
+        "--schema", str(fuzz_dir / "schema.json"),
+        "--model", "dtree", "--metric", "spd",
+        "--trials", "3", "--out", str(fuzz_dir / "r.json"),
+    ])
+    assert code == 3, err
+    assert err.startswith("data error:")
+
+
+REPORT_KEYS = [("repaired",), ("repaired", "bias"), ("repaired", "acc"), ("metric",)]
+BASELINE_KEYS = [
+    ("metric",), ("original",), ("original", "bias"), ("original", "acc"), ("a0",),
+    ("points",), ("points", 0), ("points", 0, "degree"), ("points", 0, "bias"),
+    ("points", -1, "acc"), ("repetitions",), ("seed",),
+]
+
+
+def replaced(payload, path, value):
+    """A copy of `payload` holding `value` at the key path `path`."""
+    if not path:
+        return value
+    copy = list(payload) if isinstance(payload, list) else dict(payload)
+    copy[path[0]] = replaced(payload[path[0]], path[1:], value)
+    return copy
+
+
+def finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < float("inf")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_evaluate_inputs_exit_with_a_documented_code(
+    repair_outputs, fuzz_dir, data
+):
+    paths = dict(zip(("report", "baseline"), repair_outputs))
+    contents = {k: p.read_bytes() for k, p in paths.items()}
+    target = data.draw(st.sampled_from(sorted(paths)))
+    key = None
+    if data.draw(st.booleans()):
+        contents[target] = data.draw(st.binary(max_size=64))
+    else:
+        key = data.draw(st.sampled_from(REPORT_KEYS if target == "report" else BASELINE_KEYS))
+        value = data.draw(JSON_VALUES)
+        payload = replaced(json.loads(contents[target]), key, value)
+        contents[target] = json.dumps(payload).encode("utf-8")
+    for name, text in contents.items():
+        (fuzz_dir / f"{name}.json").write_bytes(text)
+    code, err = run_quietly([
+        "evaluate", "--report", str(fuzz_dir / "report.json"),
+        "--baseline", str(fuzz_dir / "baseline.json"),
+    ])
+    assert code in (0, 1, 2, 3)
+    assert (code == 3) == err.startswith("data error:")
+    if key and key[-1] in ("bias", "acc", "a0", "degree") and not finite_number(value):
+        assert code == 3
 
 
 def test_undefined_metric_outside_a_trial_exits_3(tmp_path, capsys):
@@ -247,7 +435,6 @@ def test_usage_errors_exit_2(corpus, tmp_path, capsys):
     inputs["baseline"] = inputs["repair"]
     for command, flag, value in [
         ("repair", "--trials", "0"),
-        ("repair", "--workers", "0"),
         ("repair", "--seconds", "-1"),
         ("baseline", "--reps", "0"),
         ("build-db", "--runs", "0"),
@@ -255,7 +442,6 @@ def test_usage_errors_exit_2(corpus, tmp_path, capsys):
         ("build-db", "--top-k", "0"),
         ("build-db", "--top-m", "0"),
         ("build-db", "--dev", "0"),
-        ("build-db", "--workers", "0"),
         ("repair", "--seed", "-1"),
         ("baseline", "--seed", "-1"),
         ("build-db", "--seed", "-1"),
@@ -273,7 +459,7 @@ def test_usage_errors_exit_2(corpus, tmp_path, capsys):
 def test_build_db_defaults_are_build_config_defaults():
     args = build_parser().parse_args(["build-db", "--corpus", "c", "--out", "o"])
     defaults = BuildConfig()
-    for name in ("runs", "trials", "top_k", "top_m", "dev", "workers"):
+    for name in ("runs", "trials", "top_k", "top_m", "dev"):
         assert getattr(args, name) == getattr(defaults, name), name
 
 

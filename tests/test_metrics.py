@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from fairfix.metrics import (
     DEFAULT_DI_CAP,
-    BiasScore,
     GroupCounts,
     LengthMismatch,
     MetricKind,
@@ -151,12 +150,12 @@ def test_constant_prediction_is_unbiased():
 
 
 def test_bias_score_examples():
-    assert bias_score(MetricKind.DI, 2.0).value == pytest.approx(
+    assert bias_score(MetricKind.DI, 2.0) == pytest.approx(
         0.6931471805599453, abs=1e-15
     )
-    assert bias_score(MetricKind.DI, 1.0).value == 0.0
-    assert bias_score(MetricKind.SPD, -0.25).value == 0.25
-    assert bias_score(MetricKind.AOD, 0.125).value == 0.125
+    assert bias_score(MetricKind.DI, 1.0) == 0.0
+    assert bias_score(MetricKind.SPD, -0.25) == 0.25
+    assert bias_score(MetricKind.AOD, 0.125) == 0.125
 
 
 def test_di_sentinels_and_cap():
@@ -164,13 +163,12 @@ def test_di_sentinels_and_cap():
     c = group_counts([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1])
     raw = raw_metric(MetricKind.DI, c)
     assert raw is RateSentinel.INFINITE_DI
-    assert bias_score(MetricKind.DI, raw).value == DEFAULT_DI_CAP
-    assert bias_score(MetricKind.DI, raw, cap=2.5).value == 2.5
+    assert bias_score(MetricKind.DI, raw) == DEFAULT_DI_CAP
     # nobody selected anywhere: 0/0 scores zero bias
     c = group_counts([1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 1, 1])
     raw = raw_metric(MetricKind.DI, c)
     assert raw is RateSentinel.BOTH_RATES_ZERO
-    assert bias_score(MetricKind.DI, raw).value == 0.0
+    assert bias_score(MetricKind.DI, raw) == 0.0
 
 
 def test_di_zero_ratio_rejected():
@@ -243,13 +241,13 @@ def test_group_swap_leaves_bias_scores_unchanged():
         di, di_s = raw_metric(MetricKind.DI, c), raw_metric(MetricKind.DI, cs)
         if isinstance(di, float) and isinstance(di_s, float) and di > 0 and di_s > 0:
             assert di_s == pytest.approx(1.0 / di, abs=1e-12)
-            assert bias_score(MetricKind.DI, di).value == pytest.approx(
-                bias_score(MetricKind.DI, di_s).value, abs=1e-12
+            assert bias_score(MetricKind.DI, di) == pytest.approx(
+                bias_score(MetricKind.DI, di_s), abs=1e-12
             )
         for kind in (MetricKind.SPD, MetricKind.EOD, MetricKind.AOD):
             try:
-                a = bias_score(kind, raw_metric(kind, c)).value
-                b = bias_score(kind, raw_metric(kind, cs)).value
+                a = bias_score(kind, raw_metric(kind, c))
+                b = bias_score(kind, raw_metric(kind, cs))
             except UndefinedRate:
                 continue
             assert a == pytest.approx(b, abs=1e-12)
@@ -278,9 +276,8 @@ def test_bias_score_type_and_sign():
                 s = bias_score(kind, raw_metric(kind, group_counts(y, yhat, z)))
             except (UndefinedRate, NonPositiveDI):
                 continue
-            assert isinstance(s, BiasScore)
-            assert s.kind is kind
-            assert s.value >= 0.0
+            assert isinstance(s, float)
+            assert s >= 0.0
 
 
 # ---------------------------------------------------------------------------

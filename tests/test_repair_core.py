@@ -274,17 +274,6 @@ def test_wall_clock_budget_stops_early():
     assert res.log.records[0].proposal == "default"  # at least the default ran
 
 
-def test_workers_two_runs_and_is_self_consistent():
-    ds = biased_dataset(rows=500, seed=9)
-    cfg = RepairConfig(metric=MetricKind.SPD, trials=12, seed=1, workers=2)
-    r1 = repair(ds, AlgorithmKind.DECISION_TREE, cfg)
-    r2 = repair(ds, AlgorithmKind.DECISION_TREE, cfg)
-    assert [r.index for r in r1.log.records] == list(range(12))
-    assert r1.log.digest() == r2.log.digest()
-    with pytest.raises(ValueError, match="workers"):  # before any fit
-        RepairConfig(metric=MetricKind.SPD, trials=12, workers=0)
-
-
 def already_fair_dataset():
     # two clean clusters: any reasonable model classifies perfectly, and a
     # perfect classifier has zero TPR gap by construction
