@@ -11,14 +11,17 @@ from fairfix.fairea import TradeoffPoint, build_baseline, classify_region
 from fairfix.metrics import MetricKind
 from fairfix.model_zoo import AlgorithmKind, default_config, train
 from fairfix.synth import biased_dataset
-from fairfix.tabular import split
+from fairfix.tabular import encode, split
 
 
 def main():
     ds = biased_dataset(rows=2000, disparity=0.3, seed=0)
     train_ds, val_ds = split(ds, 0.7, 0)
-    fp = train(default_config(AlgorithmKind.DECISION_TREE), train_ds, seed=0)
-    baseline = build_baseline(fp, val_ds, MetricKind.SPD, seed=0)
+    # encode both sides with the encoder fitted on the training split
+    train_fm = encode(train_ds)
+    val_fm = encode(val_ds, train_fm.encoder)
+    fp = train(default_config(AlgorithmKind.DECISION_TREE), train_fm, seed=0)
+    baseline = build_baseline(fp, val_fm, MetricKind.SPD, seed=0)
 
     o = baseline.original
     print(f"original model: bias={o.bias:.3f} acc={o.acc:.3f}")

@@ -18,7 +18,7 @@ from .model_zoo import (
 )
 from .prune_db import BuildConfig, Database, DatabaseEntry, build_entry, match_input
 from .repair_core import AlreadyFair, RepairConfig, RepairResult, repair
-from .tabular import Dataset, Schema, load_csv, split
+from .tabular import Dataset, Schema, encode, load_csv, split
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,7 @@ __all__ = [
     "classify_region",
     "default_config",
     "default_space",
+    "encode",
     "load_csv",
     "match_input",
     "predict",

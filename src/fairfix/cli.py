@@ -37,7 +37,7 @@ from .prune_db import (
     save as save_db,
 )
 from .repair_core import DEFAULT_TRAIN_FRACTION, AlreadyFair, RepairConfig, repair
-from .tabular import DataError, Schema, load_csv, read_json, split
+from .tabular import DataError, Schema, encode, load_csv, read_json, split
 
 log = logging.getLogger("fairfix.cli")
 
@@ -81,9 +81,11 @@ def cmd_repair(args) -> int:
 def cmd_baseline(args) -> int:
     ds, _ = _load_dataset(args.data, args.schema)
     train_ds, val_ds = split(ds, DEFAULT_TRAIN_FRACTION, args.seed)
-    fp = train(default_config(AlgorithmKind(args.model)), train_ds, seed=args.seed)
+    train_fm = encode(train_ds)
+    val_fm = encode(val_ds, train_fm.encoder)
+    fp = train(default_config(AlgorithmKind(args.model)), train_fm, seed=args.seed)
     baseline = build_baseline(
-        fp, val_ds, MetricKind(args.metric), repetitions=args.reps, seed=args.seed
+        fp, val_fm, MetricKind(args.metric), repetitions=args.reps, seed=args.seed
     )
     out = Path(args.out)
     out.write_text(baseline.to_json(), encoding="utf-8")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .metrics import MetricKind, bias_value
 from .model_zoo import FittedPipeline, predict
-from .tabular import DataError, Dataset, FeatureMatrix, round_half_up
+from .tabular import DataError, FeatureMatrix, round_half_up
 
 DEFAULT_DEGREES = tuple(d / 10 for d in range(1, 11))
 DEFAULT_REPETITIONS = 50
@@ -65,6 +65,10 @@ class TradeoffBaseline:
     points: tuple[tuple[float, TradeoffPoint], ...]
     repetitions: int
     seed: int
+
+    def __post_init__(self):
+        if not self.points:  # the curve ends at degree 1
+            raise ValueError("baseline needs at least one point")
 
     def to_json(self) -> str:
         payload = {
@@ -129,17 +133,13 @@ def mutate_predictions(yhat, degree, replacement, rng) -> np.ndarray:
 
 def build_baseline(
     fp: FittedPipeline,
-    val: FeatureMatrix | Dataset,
+    val: FeatureMatrix,
     kind: MetricKind,
-    degrees=DEFAULT_DEGREES,
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
 ) -> TradeoffBaseline:
-    degrees = tuple(float(d) for d in degrees)
-    if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
-        raise ValueError("degrees must be strictly increasing")
-    if degrees[-1] != 1.0:
-        raise ValueError("degrees must include 1.0")
+    """The mutation curve of `fp` on the encoded val split, one point per
+    DEFAULT_DEGREES entry."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 
@@ -151,7 +151,7 @@ def build_baseline(
 
     rng = np.random.default_rng(seed)
     points = []
-    for degree in degrees:
+    for degree in DEFAULT_DEGREES:
         if degree == 1.0:
             # full mutation is the constant majority predictor: computed, not
             # sampled, so the endpoint is exact

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tabular import Encoder, FeatureMatrix, encode
+from ..tabular import Encoder, FeatureMatrix
 from ._boosting import GradientBoostingModel
 from ._components import FittedComponent, fit_component, top_k_count
 from ._linear import LogisticModel, NumericOverflow
@@ -59,7 +59,6 @@ class FittedPipeline:
     encoder: Encoder
     component: FittedComponent
     model: object
-    seed: int
     train_majority: int  # majority true label of the training split, ties to 1
 
 
@@ -87,14 +86,10 @@ def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X, y):
     raise ValueError(f"unknown algorithm {a!r}")
 
 
-def train(cfg: PipelineConfig, data, seed: int) -> FittedPipeline:
-    """Fit component and classifier on an encoded training split.
-
-    `data` is a FeatureMatrix; a Dataset is encoded into one first. A repair
-    encodes its split once and passes the FeatureMatrix to every trial.
-    """
+def train(cfg: PipelineConfig, fm: FeatureMatrix, seed: int) -> FittedPipeline:
+    """Fit component and classifier on an encoded training split. A repair
+    encodes its split once and passes the FeatureMatrix to every trial."""
     rng = np.random.default_rng(seed)
-    fm = data if isinstance(data, FeatureMatrix) else encode(data)
     X = fm.values
     if X.shape[1] == 0:
         raise ValueError("encoded feature width is 0")
@@ -104,12 +99,11 @@ def train(cfg: PipelineConfig, data, seed: int) -> FittedPipeline:
     )
     model = _build_model(cfg, rng, Xt, yt)
     majority = 1 if int((y == 1).sum()) >= int((y == 0).sum()) else 0
-    return FittedPipeline(cfg, fm.encoder, component, model, seed, majority)
+    return FittedPipeline(cfg, fm.encoder, component, model, majority)
 
 
-def predict(fp: FittedPipeline, data) -> np.ndarray:
-    """`data` is a FeatureMatrix made by `fp.encoder`; a Dataset is encoded first."""
-    fm = data if isinstance(data, FeatureMatrix) else encode(data, fp.encoder)
+def predict(fp: FittedPipeline, fm: FeatureMatrix) -> np.ndarray:
+    """Labels for a FeatureMatrix made by `fp.encoder`."""
     if fm.encoder != fp.encoder:
         raise ValueError("feature matrix was not made by the pipeline's encoder")
     return np.asarray(fp.model.predict(fp.component.apply(fm.values)), dtype=np.int8)

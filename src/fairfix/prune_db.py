@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import repair_core
 from .metrics import MetricKind
 from .model_zoo import (
     AlgorithmKind,
@@ -114,16 +115,19 @@ class DatabaseEntry:
 
 @dataclass(frozen=True)
 class Database:
-    version: str = DB_VERSION
     provenance: dict = field(default_factory=dict)
     entries: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
 
+    def match(self, chars: DataCharacteristics, L: float, algorithm: AlgorithmKind):
+        """The entry `match_input` picks for this input, or None."""
+        return match_input(self, chars, L, algorithm)
+
     def to_json(self) -> str:
         payload = {
-            "version": self.version,
+            "version": DB_VERSION,
             "provenance": self.provenance,
             "entries": [e.payload() for e in self.entries],
         }
@@ -173,9 +177,7 @@ def load(path) -> Database:
     if version != DB_VERSION:
         raise UnknownVersion(f"cannot read version {version!r}, need {DB_VERSION!r}")
     entries = tuple(_entry_from_payload(i, row) for i, row in enumerate(rows))
-    return Database(
-        version=version, provenance=obj.get("provenance", {}), entries=entries
-    )
+    return Database(provenance=obj.get("provenance", {}), entries=entries)
 
 
 @dataclass(frozen=True)
@@ -213,17 +215,17 @@ def build_entry(
     seed: int,
 ) -> DatabaseEntry:
     """Aggregate runs*top_k winning pipelines into a pruned-space entry."""
-    # looked up per call, so that a wrapper set on repair_core.repair applies here
-    from .repair_core import RepairConfig, repair
-
     run_seeds = np.random.SeedSequence(seed).generate_state(bcfg.runs)
     chosen = []
     L = None
     for run_seed in run_seeds:
-        result = repair(
+        # through the module, so that a wrapper set on repair_core.repair applies
+        result = repair_core.repair(
             ds,
             algorithm,
-            RepairConfig(metric=bcfg.metric, trials=bcfg.trials, seed=int(run_seed)),
+            repair_core.RepairConfig(
+                metric=bcfg.metric, trials=bcfg.trials, seed=int(run_seed)
+            ),
         )
         if L is None:
             L = result.state.L

@@ -53,16 +53,6 @@ class AlreadyFair(Exception):
         self.bias = bias
 
 
-def cost(beta: float, f: float, a: float) -> float:
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0,1), got {beta}")
-    if f < 0.0:
-        raise ValueError(f"bias score must be >= 0, got {f}")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"accuracy must be in [0,1], got {a}")
-    return smbo.trial_cost(beta, f, a)
-
-
 def pseudo_cost(beta: float, a0: float) -> float:
     """Cost of the constant majority predictor; candidates must beat this."""
     return smbo.trial_cost(beta, 0.0, a0)
@@ -252,9 +242,7 @@ def repair(
 
     space = default_space(algorithm)
     if db is not None:
-        from .prune_db import match_input  # deferred: prune_db builds on repair
-
-        entry = match_input(db, characteristics(ds), state.L, algorithm)
+        entry = db.match(characteristics(ds), state.L, algorithm)
         if entry is not None:
             space = entry.space()
 

@@ -71,9 +71,8 @@ class TrialRecord:
 
 @dataclass
 class TrialLog:
-    """Append-only trial history with a seed fingerprint."""
+    """Append-only trial history."""
 
-    rng_digest: str
     records: list = field(default_factory=list)
 
     def append(self, record: TrialRecord) -> None:
@@ -98,10 +97,6 @@ class TrialLog:
             rows.append(json.dumps(d, sort_keys=True, separators=(",", ":")))
         h = hashlib.sha256("\n".join(rows).encode("utf-8"))
         return h.hexdigest()[:16]
-
-
-def _seed_digest(seed) -> str:
-    return hashlib.sha256(repr(seed).encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +188,7 @@ def run(
     if beta_fn is None:
         beta_fn = lambda: 0.0  # noqa: E731
     rng = np.random.default_rng(seed)
-    log = TrialLog(rng_digest=_seed_digest(seed))
+    log = TrialLog()
     for index in range(budget):
         if index > 0 and deadline is not None and time.monotonic() >= deadline:
             break

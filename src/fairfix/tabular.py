@@ -176,15 +176,14 @@ class Dataset:
         for a in (y, z, cells):
             a.flags.writeable = False
 
-    def subset(self, idx: np.ndarray, note: str) -> "Dataset":
-        prov = dict(self.provenance)
-        prov["subset"] = note
+    def subset(self, idx: np.ndarray) -> "Dataset":
+        """The rows at `idx`, with a copy of this dataset's provenance."""
         return Dataset(
             self.feature_names,
             self.cells[idx],
             self.y[idx],
             self.z[idx],
-            prov,
+            dict(self.provenance),
             self.categorical_override,
         )
 
@@ -270,8 +269,8 @@ def characteristics(ds: Dataset) -> DataCharacteristics:
 
 
 def split(ds: Dataset, train_fraction: float, seed: int):
-    """Random (train, val) partition; re-draws until both sides hold both
-    label classes and both protected groups, up to 100 attempts."""
+    """Random (train, val) partition; re-draws until `subset` accepts both
+    sides (both label classes, both protected groups), up to 100 attempts."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0,1)")
     p = len(ds.y)
@@ -281,15 +280,11 @@ def split(ds: Dataset, train_fraction: float, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(100):
         perm = rng.permutation(p)
-        tr = np.sort(perm[:n_train])
-        va = np.sort(perm[n_train:])
-        ok = True
-        for idx in (tr, va):
-            if len(set(ds.y[idx].tolist())) < 2 or len(set(ds.z[idx].tolist())) < 2:
-                ok = False
-                break
-        if ok:
-            return ds.subset(tr, "train"), ds.subset(va, "val")
+        tr, va = np.sort(perm[:n_train]), np.sort(perm[n_train:])
+        try:
+            return ds.subset(tr), ds.subset(va)
+        except (SingleClassLabel, SingleGroupProtected):
+            continue
     raise DegenerateSplit("no valid partition in 100 draws")
 
 

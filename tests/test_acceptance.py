@@ -30,15 +30,15 @@ from fairfix.repair_core import (
     AlreadyFair,
     RepairConfig,
     beta_lower_bound,
-    cost,
     greedy_update,
     initial_beta_state,
     pseudo_accuracy,
     pseudo_cost,
     repair,
 )
+from fairfix.smbo import trial_cost
 from fairfix.synth import biased_dataset
-from fairfix.tabular import Schema, characteristics, load_csv, split
+from fairfix.tabular import Schema, characteristics, encode, load_csv, split
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 ADULT_CSV = Path(os.environ.get("FAIRFIX_ADULT_CSV", DATA_DIR / "adult.csv"))
@@ -146,7 +146,7 @@ def test_cost_identity_at_beta_bound():
         a1 = float(rng.uniform(a0 + 1e-6, 1.0))
         f1 = float(rng.uniform(0.05, 1.0))
         beta = beta_lower_bound(a1, a0, f1)
-        gap = abs(cost(beta, f1, a1) - pseudo_cost(beta, a0))
+        gap = abs(trial_cost(beta, f1, a1) - pseudo_cost(beta, a0))
         worst = max(worst, gap)
     assert worst <= 1e-12
 
@@ -156,7 +156,7 @@ def test_cost_identity_at_beta_bound():
         f = float(rng.uniform(0.0, 1.0))
         a = float(rng.uniform(0.0, 1.0))
         a0 = float(rng.uniform(0.0, 1.0))
-        lhs = cost(beta, f, a) < pseudo_cost(beta, a0)
+        lhs = trial_cost(beta, f, a) < pseudo_cost(beta, a0)
         rhs = beta * f < (1.0 - beta) * (a - a0)
         mismatches += lhs != rhs
     _verdict("2/8", "cost identity at the bound", mismatches == 0,
@@ -172,10 +172,12 @@ def test_pseudo_model_endpoint():
     for fx in BENCHMARK_FIXTURES:
         ds = biased_dataset(**fx)
         train_ds, val_ds = split(ds, 0.7, 0)
-        fp = train(default_config(AlgorithmKind.DECISION_TREE), train_ds, seed=0)
+        train_fm = encode(train_ds)
+        fp = train(default_config(AlgorithmKind.DECISION_TREE), train_fm, seed=0)
+        val_fm = encode(val_ds, train_fm.encoder)
         a0 = pseudo_accuracy(val_ds.y)
         for kind in MetricKind:
-            baseline = build_baseline(fp, val_ds, kind, repetitions=10, seed=0)
+            baseline = build_baseline(fp, val_fm, kind, repetitions=10, seed=0)
             degree, pt = baseline.points[-1]
             assert degree == 1.0
             assert pt.bias == 0.0
@@ -230,8 +232,10 @@ def test_synthetic_repair_lands_good_or_win():
     from fairfix.metrics import bias_value
     from fairfix.model_zoo import predict
 
-    fp = train(default_config(AlgorithmKind.DECISION_TREE), train_ds, seed=0)
-    buggy_bias = bias_value(MetricKind.SPD, val_ds.y, predict(fp, val_ds), val_ds.z)
+    train_fm = encode(train_ds)
+    fp = train(default_config(AlgorithmKind.DECISION_TREE), train_fm, seed=0)
+    yhat = predict(fp, encode(val_ds, train_fm.encoder))
+    buggy_bias = bias_value(MetricKind.SPD, val_ds.y, yhat, val_ds.z)
     assert buggy_bias >= 0.15, f"fixture not biased enough: {buggy_bias}"
 
     start = time.monotonic()

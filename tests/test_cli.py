@@ -105,6 +105,19 @@ def test_baseline_writes_json_and_plot_csv(repair_outputs):
         assert float(row[2]) == pt.acc
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_baseline_command_writes_the_report_baseline(tmp_path, seed):
+    # both commands split, encode and fit the default model the same way
+    data, schema = write_fixture(tmp_path, rows=400)
+    common = ["--data", str(data), "--schema", str(schema), "--model", "dtree",
+              "--metric", "spd", "--seed", str(seed)]
+    report, baseline = tmp_path / "report.json", tmp_path / "baseline.json"
+    assert main(["repair", *common, "--trials", "2", "--out", str(report)]) == 0
+    assert main(["baseline", *common, "--out", str(baseline)]) == 0
+    block = json.loads(report.read_text(encoding="utf-8"))["baseline"]
+    assert baseline.read_text(encoding="utf-8") == json.dumps(block, indent=2) + "\n"
+
+
 def test_evaluate_exit_codes_follow_region(repair_outputs, tmp_path, capsys):
     report_path, baseline_path = repair_outputs
     template = json.loads(report_path.read_text(encoding="utf-8"))

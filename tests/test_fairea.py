@@ -18,6 +18,7 @@ from fairfix.fairea import (
 )
 from fairfix.metrics import MetricKind
 from fairfix.model_zoo import AlgorithmKind, default_config, train
+from fairfix.tabular import encode
 
 from test_model_zoo import random_ds
 
@@ -71,55 +72,46 @@ def test_mutate_rejects_out_of_range_degree():
 # baseline construction
 
 
-def fit_default(ds, algo=AlgorithmKind.DECISION_TREE):
-    return train(default_config(algo), ds, seed=0)
+def fit_default(fm):
+    return train(default_config(AlgorithmKind.DECISION_TREE), fm, seed=0)
 
 
 def test_baseline_shape_and_endpoint():
-    ds = random_ds(150, 3, seed=21)
-    fp = fit_default(ds)
+    fm = encode(random_ds(150, 3, seed=21))
+    fp = fit_default(fm)
     for kind in MetricKind:
-        b = build_baseline(fp, ds, kind, repetitions=10, seed=4)
+        b = build_baseline(fp, fm, kind, repetitions=10, seed=4)
         assert [d for d, _ in b.points] == list(DEFAULT_DEGREES)
         last_degree, last = b.points[-1]
         assert last_degree == 1.0
         assert last.bias == 0.0
-        ones = int((ds.y == 1).sum())
-        assert last.acc == max(ones, len(ds.y) - ones) / len(ds.y)
+        ones = int((fm.y == 1).sum())
+        assert last.acc == max(ones, len(fm.y) - ones) / len(fm.y)
         assert last.acc == b.a0
 
 
 def test_baseline_monte_carlo_concentration():
     # two independent seeds agree per degree within 0.05 on a 300-row fixture
-    ds = random_ds(300, 3, seed=22)
-    fp = fit_default(ds)
-    b1 = build_baseline(fp, ds, MetricKind.SPD, repetitions=50, seed=1)
-    b2 = build_baseline(fp, ds, MetricKind.SPD, repetitions=50, seed=2)
+    fm = encode(random_ds(300, 3, seed=22))
+    fp = fit_default(fm)
+    b1 = build_baseline(fp, fm, MetricKind.SPD, repetitions=50, seed=1)
+    b2 = build_baseline(fp, fm, MetricKind.SPD, repetitions=50, seed=2)
     for (_, p1), (_, p2) in zip(b1.points, b2.points):
         assert abs(p1.acc - p2.acc) < 0.05
 
 
 def test_baseline_deterministic():
-    ds = random_ds(120, 3, seed=23)
-    fp = fit_default(ds)
-    b1 = build_baseline(fp, ds, MetricKind.EOD, repetitions=20, seed=9)
-    b2 = build_baseline(fp, ds, MetricKind.EOD, repetitions=20, seed=9)
+    fm = encode(random_ds(120, 3, seed=23))
+    fp = fit_default(fm)
+    b1 = build_baseline(fp, fm, MetricKind.EOD, repetitions=20, seed=9)
+    b2 = build_baseline(fp, fm, MetricKind.EOD, repetitions=20, seed=9)
     assert b1.to_json() == b2.to_json()
 
 
-def test_baseline_validates_degrees():
-    ds = random_ds(60, 2, seed=24)
-    fp = fit_default(ds)
-    with pytest.raises(ValueError):
-        build_baseline(fp, ds, MetricKind.SPD, degrees=(0.5, 0.3, 1.0))
-    with pytest.raises(ValueError):
-        build_baseline(fp, ds, MetricKind.SPD, degrees=(0.2, 0.5))
-
-
 def test_baseline_json_shape_and_round_trip():
-    ds = random_ds(100, 3, seed=25)
-    fp = fit_default(ds)
-    b = build_baseline(fp, ds, MetricKind.AOD, repetitions=5, seed=3)
+    fm = encode(random_ds(100, 3, seed=25))
+    fp = fit_default(fm)
+    b = build_baseline(fp, fm, MetricKind.AOD, repetitions=5, seed=3)
     payload = json.loads(b.to_json())
     assert set(payload) == {"metric", "original", "a0", "points", "repetitions", "seed"}
     assert set(payload["original"]) == {"bias", "acc"}
@@ -131,9 +123,9 @@ def test_baseline_json_shape_and_round_trip():
 
 
 def test_baseline_json_round_trip_is_equal():
-    ds = random_ds(100, 3, seed=26)
-    fp = fit_default(ds)
-    b = build_baseline(fp, ds, MetricKind.SPD, repetitions=5, seed=4)
+    fm = encode(random_ds(100, 3, seed=26))
+    fp = fit_default(fm)
+    b = build_baseline(fp, fm, MetricKind.SPD, repetitions=5, seed=4)
     assert TradeoffBaseline.from_json(b.to_json()) == b
 
 
@@ -157,6 +149,16 @@ def test_interpolated_good_bad_boundary():
     b2 = two_point_baseline(orig=(0.25, 0.75), end_acc=0.5)
     assert classify_region(b2, TradeoffPoint(0.125, 0.625)) is TradeoffRegion.BAD
     assert classify_region(b2, TradeoffPoint(0.125, 0.6251)) is TradeoffRegion.GOOD
+
+
+def test_baseline_without_points_is_rejected():
+    # without the degree-1 endpoint, a candidate below the original in both
+    # bias and accuracy has no curve to be judged against
+    with pytest.raises(ValueError, match="point"):
+        TradeoffBaseline(MetricKind.SPD, TradeoffPoint(0.3, 0.8), 0.7, (), 1, 0)
+    # with the endpoint the same candidate lies under the curve (0.733 there)
+    b = two_point_baseline(orig=(0.3, 0.8))
+    assert classify_region(b, TradeoffPoint(0.1, 0.7)) is TradeoffRegion.BAD
 
 
 def test_exact_tie_with_original_is_bad():

@@ -231,8 +231,8 @@ def test_logistic_separable_two_points():
         ComponentKind.NONE,
         {"learning_rate": 0.5, "l2": 1e-6, "epochs": 300},
     )
-    fp = train(cfg, ds, seed=0)
-    assert predict(fp, ds).tolist() == [0, 1]
+    fm = encode(ds)
+    assert predict(train(cfg, fm, seed=0), fm).tolist() == [0, 1]
 
 
 def test_decision_tree_depth1_cannot_solve_xor():
@@ -242,18 +242,18 @@ def test_decision_tree_depth1_cannot_solve_xor():
         ComponentKind.NONE,
         {"max_depth": 1, "min_leaf": 1, "criterion": "gini"},
     )
-    fp = train(cfg, ds, seed=0)
-    acc = (predict(fp, ds) == ds.y).mean()
+    fm = encode(ds)
+    acc = (predict(train(cfg, fm, seed=0), fm) == ds.y).mean()
     assert acc <= 0.75
 
 
 def test_train_predict_bitwise_determinism():
-    ds = random_ds(120, 4, seed=0)
-    probe = random_ds(40, 4, seed=1)
+    fm = encode(random_ds(120, 4, seed=0))
+    probe = encode(random_ds(40, 4, seed=1), fm.encoder)
     for a in AlgorithmKind:
         cfg = default_config(a)
-        p1 = predict(train(cfg, ds, seed=42), probe)
-        p2 = predict(train(cfg, ds, seed=42), probe)
+        p1 = predict(train(cfg, fm, seed=42), probe)
+        p2 = predict(train(cfg, fm, seed=42), probe)
         assert p1.tobytes() == p2.tobytes(), a
 
 
@@ -268,28 +268,30 @@ def mixed_ds(n, seed):
 
 @pytest.mark.parametrize("component", list(ComponentKind))
 @pytest.mark.parametrize("algorithm", list(AlgorithmKind))
-def test_encoded_path_matches_dataset_path(algorithm, component):
-    train_ds, val_ds = mixed_ds(150, seed=3), mixed_ds(60, seed=4)
+def test_encoded_fits_predict_int8_and_repeat_bit_for_bit(algorithm, component):
     cfg = PipelineConfig(algorithm, component, default_config(algorithm).params)
-    fm = encode(train_ds)
+    fm = encode(mixed_ds(150, seed=3))
     assert fm.values.shape[1] > 3  # the categorical column was one-hot encoded
-    from_arrays = predict(train(cfg, fm, seed=5), encode(val_ds, fm.encoder))
-    from_dataset = predict(train(cfg, train_ds, seed=5), val_ds)
-    assert from_arrays.dtype == from_dataset.dtype == np.int8
-    assert from_arrays.tobytes() == from_dataset.tobytes()
+    val_fm = encode(mixed_ds(60, seed=4), fm.encoder)
+    first = predict(train(cfg, fm, seed=5), val_fm)
+    again = predict(train(cfg, fm, seed=5), val_fm)
+    assert first.dtype == again.dtype == np.int8
+    assert first.tobytes() == again.tobytes()
 
 
 def test_predict_rejects_a_matrix_from_another_encoder():
-    train_ds = mixed_ds(150, seed=3)
-    fp = train(default_config(AlgorithmKind.LOGISTIC_REGRESSION), train_ds, seed=5)
+    fm = encode(mixed_ds(150, seed=3))
+    fp = train(default_config(AlgorithmKind.LOGISTIC_REGRESSION), fm, seed=5)
     # fitted on other rows, the encoder keeps the city values in another order
     other = encode(mixed_ds(150, seed=8))
     assert other.encoder != fp.encoder
-    assert other.values.shape == encode(train_ds).values.shape
+    assert other.values.shape == fm.values.shape
     with pytest.raises(ValueError, match="encoder"):
         predict(fp, other)
-    ours = encode(mixed_ds(40, seed=8), encode(train_ds).encoder)  # equal encoder
-    assert predict(fp, ours).tobytes() == predict(fp, mixed_ds(40, seed=8)).tobytes()
+    probe = mixed_ds(40, seed=8)
+    ours = encode(probe, encode(mixed_ds(150, seed=3)).encoder)  # equal encoder
+    expected = predict(fp, encode(probe, fm.encoder))
+    assert predict(fp, ours).tobytes() == expected.tobytes()
 
 
 def test_knn_k1_reproduces_training_labels():
@@ -297,8 +299,8 @@ def test_knn_k1_reproduces_training_labels():
     cfg = PipelineConfig(
         AlgorithmKind.KNN, ComponentKind.NONE, {"k": 1, "weights": "uniform"}
     )
-    fp = train(cfg, ds, seed=0)
-    assert predict(fp, ds).tolist() == ds.y.tolist()
+    fm = encode(ds)
+    assert predict(train(cfg, fm, seed=0), fm).tolist() == ds.y.tolist()
 
 
 def test_unseen_category_row_still_predicts():
@@ -306,7 +308,7 @@ def test_unseen_category_row_still_predicts():
         [["a"], ["b"], ["a"], ["b"]], dtype=object
     )
     ds = Dataset(("c",), cells, [0, 1, 0, 1], [0, 1, 1, 0], {"source": "t"})
-    fp = train(default_config(AlgorithmKind.DECISION_TREE), ds, seed=0)
+    fp = train(default_config(AlgorithmKind.DECISION_TREE), encode(ds), seed=0)
     probe = Dataset(
         ("c",),
         np.array([["zzz"]], dtype=object),
@@ -315,7 +317,7 @@ def test_unseen_category_row_still_predicts():
         {"source": "t"},
         allow_degenerate=True,
     )
-    out = predict(fp, probe)
+    out = predict(fp, encode(probe, fp.encoder))
     assert out.shape == (1,) and out[0] in (0, 1)
 
 
@@ -327,7 +329,7 @@ def test_overflow_reports_failed_trial_not_crash():
         {"learning_rate": 1.0, "l2": 1e-6, "epochs": 50},
     )
     with pytest.raises(NumericOverflow):
-        train(cfg, ds, seed=0)
+        train(cfg, encode(ds), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +337,8 @@ def test_overflow_reports_failed_trial_not_crash():
 
 
 def training_error(cfg, ds):
-    fp = train(cfg, ds, seed=7)
-    return float((predict(fp, ds) != ds.y).mean())
+    fm = encode(ds)
+    return float((predict(train(cfg, fm, seed=7), fm) != ds.y).mean())
 
 
 def test_tree_depth_monotone_training_error():
@@ -391,8 +393,9 @@ def test_boosting_stages_monotone_training_loss():
                 "subsample": 1.0,
             },
         )
-        fp = train(cfg, ds, seed=7)
-        X = fp.component.apply(fp.encoder.transform(ds))
+        fm = encode(ds)
+        fp = train(cfg, fm, seed=7)
+        X = fp.component.apply(fm.values)
         margin = fp.model.decision_function(X)
         y = ds.y.astype(float)
         p = 1.0 / (1.0 + np.exp(-np.clip(margin, -500, 500)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairfix import model_zoo, repair_core, smbo
+from fairfix import model_zoo, prune_db, repair_core, smbo
 from fairfix.fairea import TradeoffRegion
 from fairfix.metrics import MetricKind, bias_value
 from fairfix.model_zoo import (
@@ -27,7 +27,6 @@ from fairfix.repair_core import (
     BetaState,
     RepairConfig,
     beta_lower_bound,
-    cost,
     greedy_update,
     initial_beta_state,
     pseudo_accuracy,
@@ -49,11 +48,8 @@ def test_pseudo_accuracy_definition():
 
 
 def test_cost_definition():
-    assert cost(0.0, 0.7, 0.9) == pytest.approx(0.1)
-    assert cost(0.5, 0.2, 0.9) == pytest.approx(0.15)
-    for beta, f, a in ((1.0, 0.1, 0.5), (-0.1, 0.1, 0.5), (0.5, -0.1, 0.5), (0.5, 0.1, 1.5)):
-        with pytest.raises(ValueError):
-            cost(beta, f, a)
+    assert smbo.trial_cost(0.0, 0.7, 0.9) == pytest.approx(0.1)
+    assert smbo.trial_cost(0.5, 0.2, 0.9) == pytest.approx(0.15)
 
 
 def test_logged_costs_and_best_use_the_cost_definition():
@@ -61,9 +57,10 @@ def test_logged_costs_and_best_use_the_cost_definition():
     res = repair(ds, AlgorithmKind.DECISION_TREE, RepairConfig(MetricKind.SPD, trials=12))
     ok = res.log.ok_records()
     for r in ok:
-        assert r.cost == cost(r.beta, r.bias, r.accuracy)
+        assert r.cost == smbo.trial_cost(r.beta, r.bias, r.accuracy)
     beta = res.state.beta
-    assert res.best_config == min(ok, key=lambda r: cost(beta, r.bias, r.accuracy)).config
+    best = min(ok, key=lambda r: smbo.trial_cost(beta, r.bias, r.accuracy))
+    assert res.best_config == best.config
 
 
 def test_pseudo_cost_definition():
@@ -107,7 +104,7 @@ def test_identity_at_the_bound():
         a1 = float(rng.uniform(a0 + 1e-6, 1.0))
         f1 = float(rng.uniform(0.05, 1.0))  # keeps L inside [0, 1-eps]
         L = beta_lower_bound(a1, a0, f1)
-        assert abs(cost(L, f1, a1) - pseudo_cost(L, a0)) <= 1e-12
+        assert abs(smbo.trial_cost(L, f1, a1) - pseudo_cost(L, a0)) <= 1e-12
 
 
 def test_improvement_predicate_equivalence():
@@ -117,7 +114,7 @@ def test_improvement_predicate_equivalence():
         f = float(rng.uniform(0.0, 1.0))
         a = float(rng.uniform(0.0, 1.0))
         a0 = float(rng.uniform(0.0, 1.0))
-        lhs = cost(beta, f, a) < pseudo_cost(beta, a0)
+        lhs = smbo.trial_cost(beta, f, a) < pseudo_cost(beta, a0)
         rhs = beta * f < (1.0 - beta) * (a - a0)
         assert lhs == rhs
 
@@ -300,15 +297,14 @@ def test_repair_raises_already_fair_with_original_attached():
 # one encoding per repair, one buggy fit
 
 
-def test_objective_scores_like_the_dataset_path_and_reuses_outcomes(monkeypatch):
+def test_objective_scores_like_train_and_predict_and_reuses_outcomes(monkeypatch):
     train_ds, val_ds = split(biased_dataset(rows=400, seed=4), 0.7, 0)
     train_fm = encode(train_ds)
-    objective = repair_core._TrialObjective(
-        train_fm, encode(val_ds, train_fm.encoder), MetricKind.SPD, 3
-    )
+    val_fm = encode(val_ds, train_fm.encoder)
+    objective = repair_core._TrialObjective(train_fm, val_fm, MetricKind.SPD, 3)
     space = default_space(AlgorithmKind.LOGISTIC_REGRESSION)
     cfg = decode_config(sample(space, np.random.default_rng(1)), space)
-    yhat = model_zoo.predict(model_zoo.train(cfg, train_ds, seed=3), val_ds)
+    yhat = model_zoo.predict(model_zoo.train(cfg, train_fm, seed=3), val_fm)
     expected = (
         float((yhat == val_ds.y).mean()),
         bias_value(MetricKind.SPD, val_ds.y, yhat, val_ds.z),
@@ -410,3 +406,32 @@ def test_entry_payload_and_pruned_space_digests_are_pinned(algorithm):
     res = repair(biased_dataset(600, 0.3, seed=2), algorithm, cfg,
                  db=Database(entries=(entry,)))
     assert res.log.digest() == repair_digest
+
+
+def test_build_entry_and_a_db_repair_go_through_the_module_names(monkeypatch):
+    # build_entry calls repair_core.repair, and repair() matches through
+    # prune_db.match_input, each looked up at call time, so a wrapper set on
+    # either name sees every call
+    calls = {"repair": 0, "match": 0}
+    real_repair = repair_core.repair
+    real_match = prune_db.match_input
+
+    def spy_repair(*args, **kwargs):
+        calls["repair"] += 1
+        return real_repair(*args, **kwargs)
+
+    def spy_match(*args, **kwargs):
+        calls["match"] += 1
+        return real_match(*args, **kwargs)
+
+    monkeypatch.setattr(repair_core, "repair", spy_repair)
+    monkeypatch.setattr(prune_db, "match_input", spy_match)
+    ds = biased_dataset(300, 0.3, seed=1)
+    entry = build_entry(ds, "d", "group", AlgorithmKind.DECISION_TREE,
+                        BuildConfig(runs=2, trials=6), 0)
+    assert calls == {"repair": 2, "match": 0}
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=4, seed=0)
+    res = repair_core.repair(ds, AlgorithmKind.DECISION_TREE, cfg,
+                             db=Database(entries=(entry,)))
+    assert calls == {"repair": 3, "match": 1}
+    assert res.log.records[1].config.component in entry.components

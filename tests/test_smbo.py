@@ -197,7 +197,7 @@ def test_ndjson_matches_records():
 
 def test_suggest_falls_back_to_random_when_few_trials():
     space = fixture_space()
-    log = TrialLog(rng_digest="0")
+    log = TrialLog()
     cfg, tag = _suggest_tagged(log, space, np.random.default_rng(0))
     assert tag == "random"
     assert 0.0 <= cfg.params["x"] <= 1.0
@@ -206,7 +206,7 @@ def test_suggest_falls_back_to_random_when_few_trials():
 def test_suggestions_stay_in_domain():
     space = default_space(AlgorithmKind.RANDOM_FOREST)
     rng = np.random.default_rng(9)
-    log = TrialLog(rng_digest="0")
+    log = TrialLog()
     for i in range(12):
         cfg = draw_config(space, rng)
         log.append(
@@ -232,7 +232,7 @@ def test_suggest_ignores_records_outside_the_space():
         (ComponentKind.STANDARDIZE, ComponentKind.MINMAX),
     )
     rng = np.random.default_rng(3)
-    log = TrialLog(rng_digest="0")
+    log = TrialLog()
     foreign = draw_config(full, np.random.default_rng(0))
     foreign = type(foreign)(foreign.algorithm, ComponentKind.NONE,
                             dict(foreign.params, criterion="gini"))
@@ -259,11 +259,11 @@ def fake_record(i, acc, bias):
 
 def test_best_empty_raises():
     with pytest.raises(NoSuccessfulTrial):
-        best(TrialLog(rng_digest="0"), 0.5)
+        best(TrialLog(), 0.5)
 
 
 def test_best_rescores_at_requested_beta():
-    log = TrialLog(rng_digest="0")
+    log = TrialLog()
     log.append(fake_record(0, 0.90, 0.30))
     log.append(fake_record(1, 0.95, 0.40))
     log.append(fake_record(2, 0.85, 0.05))
@@ -272,7 +272,7 @@ def test_best_rescores_at_requested_beta():
 
 
 def test_best_tie_goes_to_earliest():
-    log = TrialLog(rng_digest="0")
+    log = TrialLog()
     log.append(fake_record(0, 0.9, 0.2))
     log.append(fake_record(1, 0.9, 0.2))
     assert best(log, 0.5).index == 0
@@ -377,7 +377,7 @@ def test_decoded_draws_match_the_per_config_sampler(space, seed):
 
 
 def random_log(space, rng, n=12):
-    log = TrialLog(rng_digest="0")
+    log = TrialLog()
     for i in range(n):
         log.append(TrialRecord(i, draw_config(space, rng), 0.8, 0.1,
                                float(rng.uniform(0.1, 0.4)), 0.3, 0.0, "ok", "init"))

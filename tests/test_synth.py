@@ -6,7 +6,7 @@ import pytest
 from fairfix.metrics import MetricKind, bias_value
 from fairfix.model_zoo import AlgorithmKind, default_config, predict, train
 from fairfix.synth import biased_dataset, fixture_schema, write_fixture
-from fairfix.tabular import Schema, load_csv, split
+from fairfix.tabular import Schema, encode, load_csv, split
 
 
 def test_group_gap_tracks_requested_disparity():
@@ -23,8 +23,9 @@ def test_group_gap_tracks_requested_disparity():
 def test_default_tree_shows_repairable_bias():
     ds = biased_dataset()
     train_ds, val_ds = split(ds, 0.7, 0)
-    fp = train(default_config(AlgorithmKind.DECISION_TREE), train_ds, seed=0)
-    yhat = predict(fp, val_ds)
+    train_fm = encode(train_ds)
+    fp = train(default_config(AlgorithmKind.DECISION_TREE), train_fm, seed=0)
+    yhat = predict(fp, encode(val_ds, train_fm.encoder))
     assert bias_value(MetricKind.SPD, val_ds.y, yhat, val_ds.z) >= 0.15
 
 
