@@ -9,18 +9,15 @@ Run: python3 demos/baseline_regions.py
 
 from fairfix.fairea import TradeoffPoint, build_baseline, classify_region
 from fairfix.metrics import MetricKind
-from fairfix.model_zoo import AlgorithmKind, default_config, train
+from fairfix.model_zoo import AlgorithmKind
+from fairfix.repair_core import fit_buggy
 from fairfix.synth import biased_dataset
-from fairfix.tabular import encode, split
 
 
 def main():
     ds = biased_dataset(rows=2000, disparity=0.3, seed=0)
-    train_ds, val_ds = split(ds, 0.7, 0)
-    # encode both sides with the encoder fitted on the training split
-    train_fm = encode(train_ds)
-    val_fm = encode(val_ds, train_fm.encoder)
-    fp = train(default_config(AlgorithmKind.DECISION_TREE), train_fm, seed=0)
+    # the 7:3 split, encoded, and the default decision tree fitted on train
+    _, val_fm, fp = fit_buggy(ds, AlgorithmKind.DECISION_TREE, seed=0)
     baseline = build_baseline(fp, val_fm, MetricKind.SPD, seed=0)
 
     o = baseline.original

@@ -4,7 +4,7 @@ An offline pass repairs the input several times and distills the winners
 into a database entry (kept components, tightened parameter ranges). A new
 repair on a similar input then searches that smaller space.
 
-Run: python3 demos/pruning_speedup.py  (takes a minute or two)
+Run: python3 demos/pruning_speedup.py  (about 13 s on a 2-CPU machine)
 """
 
 from fairfix.metrics import MetricKind

@@ -26,7 +26,7 @@ from .fairea import (
     classify_region,
 )
 from .metrics import MetricKind, NonPositiveDI, UndefinedRate
-from .model_zoo import AlgorithmKind, default_config, train
+from .model_zoo import AlgorithmKind
 from .prune_db import (
     BuildConfig,
     Database,
@@ -36,8 +36,8 @@ from .prune_db import (
     load as load_db,
     save as save_db,
 )
-from .repair_core import DEFAULT_TRAIN_FRACTION, AlreadyFair, RepairConfig, repair
-from .tabular import DataError, Schema, encode, load_csv, read_json, split
+from .repair_core import AlreadyFair, RepairConfig, fit_buggy, repair
+from .tabular import DataError, Schema, load_csv, read_json
 
 log = logging.getLogger("fairfix.cli")
 
@@ -80,10 +80,7 @@ def cmd_repair(args) -> int:
 
 def cmd_baseline(args) -> int:
     ds, _ = _load_dataset(args.data, args.schema)
-    train_ds, val_ds = split(ds, DEFAULT_TRAIN_FRACTION, args.seed)
-    train_fm = encode(train_ds)
-    val_fm = encode(val_ds, train_fm.encoder)
-    fp = train(default_config(AlgorithmKind(args.model)), train_fm, seed=args.seed)
+    _, val_fm, fp = fit_buggy(ds, AlgorithmKind(args.model), args.seed)
     baseline = build_baseline(
         fp, val_fm, MetricKind(args.metric), repetitions=args.reps, seed=args.seed
     )

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import MetricKind, bias_value
+from .metrics import MetricKind, accuracy, bias_value
 from .model_zoo import FittedPipeline, predict
 from .tabular import DataError, FeatureMatrix, round_half_up
 
@@ -70,8 +70,9 @@ class TradeoffBaseline:
         if not self.points:  # the curve ends at degree 1
             raise ValueError("baseline needs at least one point")
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The file form, which `from_payload` reads back."""
+        return {
             "metric": self.metric.value,
             "original": {"bias": self.original.bias, "acc": self.original.acc},
             "a0": self.a0,
@@ -82,7 +83,9 @@ class TradeoffBaseline:
             "repetitions": self.repetitions,
             "seed": self.seed,
         }
-        return json.dumps(payload, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TradeoffBaseline":
@@ -90,7 +93,7 @@ class TradeoffBaseline:
 
     @classmethod
     def from_payload(cls, payload) -> "TradeoffBaseline":
-        """A baseline from parsed `to_json` output; DataError if it holds none."""
+        """A baseline from a parsed `payload`; DataError if it holds none."""
         rows = payload.get("points") if isinstance(payload, dict) else None
         if not (isinstance(rows, list) and rows):  # the curve ends at degree 1
             raise DataError("baseline is not an object with a non-empty list of points")
@@ -145,7 +148,7 @@ def build_baseline(
 
     yhat = predict(fp, val)
     y = val.y
-    acc_o = float((yhat == y).mean())
+    acc_o = accuracy(y, yhat)
     bias_o = bias_value(kind, y, yhat, val.z)
     a0 = pseudo_accuracy(y)
 
@@ -161,7 +164,7 @@ def build_baseline(
         biases = []
         for _ in range(repetitions):
             mutated = mutate_predictions(yhat, degree, fp.train_majority, rng)
-            accs.append(float((mutated == y).mean()))
+            accs.append(accuracy(y, mutated))
             biases.append(bias_value(kind, y, mutated, val.z))
         points.append(
             (

@@ -60,10 +60,6 @@ class GroupCounts:
                 raise ValueError(f"group z={g} is empty")
         self.cells.flags.writeable = False
 
-    @property
-    def total(self) -> int:
-        return int(self.cells.sum())
-
     def group_total(self, z: int) -> int:
         return int(self.cells[z].sum())
 
@@ -85,7 +81,11 @@ class GroupCounts:
 
 
 def _as_binary(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=np.int64)
+    """v as a 1-d 0/1 integer array; an integer array is used as it is,
+    not copied to int64 (4*z + 2*y + yhat <= 7 fits any integer type)."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iu":
+        a = a.astype(np.int64)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-d")
     if a.size and (a.min() < 0 or a.max() > 1):

@@ -8,7 +8,7 @@ None, leaves the matrix untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +18,14 @@ from ._spaces import ComponentKind
 @dataclass
 class FittedComponent:
     kind: ComponentKind
-    mean: np.ndarray = None
-    scale: np.ndarray = None
-    lo: np.ndarray = None
-    span: np.ndarray = None
+    shift: np.ndarray = None  # Standardize: mean, MinMax: min
+    scale: np.ndarray = None  # Standardize: std, MinMax: max - min; never 0
     keep: np.ndarray = None
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Inference-time transform; row count is always preserved."""
-        if self.kind is ComponentKind.STANDARDIZE:
-            return (X - self.mean) / self.scale
-        if self.kind is ComponentKind.MINMAX:
-            return (X - self.lo) / self.span
+        if self.kind in (ComponentKind.STANDARDIZE, ComponentKind.MINMAX):
+            return (X - self.shift) / self.scale
         if self.kind is ComponentKind.VARIANCE_TOPK:
             return X[:, self.keep]
         return X  # NONE and REBALANCE
@@ -44,17 +40,13 @@ def fit_component(kind: ComponentKind, X: np.ndarray, y: np.ndarray, f_pre: int)
     """Fit on the training matrix; returns (component, X_train, y_train)."""
     if kind is ComponentKind.NONE:
         return FittedComponent(kind), X, y
-    if kind is ComponentKind.STANDARDIZE:
-        mean = X.mean(0)
-        scale = X.std(0)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        fc = FittedComponent(kind, mean=mean, scale=scale)
-        return fc, fc.apply(X), y
-    if kind is ComponentKind.MINMAX:
-        lo = X.min(0)
-        span = X.max(0) - lo
-        span = np.where(span == 0.0, 1.0, span)
-        fc = FittedComponent(kind, lo=lo, span=span)
+    if kind in (ComponentKind.STANDARDIZE, ComponentKind.MINMAX):
+        if kind is ComponentKind.STANDARDIZE:
+            shift, scale = X.mean(0), X.std(0)
+        else:
+            shift = X.min(0)
+            scale = X.max(0) - shift
+        fc = FittedComponent(kind, shift, np.where(scale == 0.0, 1.0, scale))
         return fc, fc.apply(X), y
     if kind is ComponentKind.VARIANCE_TOPK:
         k = min(top_k_count(f_pre), X.shape[1])

@@ -61,8 +61,8 @@ class ParamDef:
             if not self.values or len(set(self.values)) != len(self.values):
                 raise ValueError(f"{self.name}: categorical values must be non-empty, unique")
         elif self.kind in ("int", "real"):
-            if self.lo > self.hi:
-                raise ValueError(f"{self.name}: lo > hi")
+            if not self.lo <= self.hi:  # false for a NaN bound too
+                raise ValueError(f"{self.name}: not lo <= hi")
             if self.scale == "log" and self.lo <= 0:
                 raise ValueError(f"{self.name}: log scale requires lo > 0")
             if self.scale not in ("linear", "log"):
@@ -124,7 +124,7 @@ class ParamDef:
         if lo is None or hi is None:
             raise ValueError(f"{self.name}: a numeric range needs lo and hi")
         lo, hi = max(lo, self.lo), min(hi, self.hi)
-        if lo > hi:
+        if not lo <= hi:  # disjoint, or a NaN bound
             raise ValueError(f"{self.name}: range disjoint from default")
         if self.kind == "int":
             lo, hi = int(lo), int(hi)
@@ -182,21 +182,6 @@ class PipelineConfig:
             "component": self.component.value,
             "params": {k: self.params[k] for k in sorted(self.params)},
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        algorithm = AlgorithmKind(d["algorithm"])
-        space = default_space(algorithm)
-        params = {}
-        for name, v in d["params"].items():
-            pd = space.param(name)
-            if pd.kind == "int":
-                params[name] = int(v)
-            elif pd.kind == "real":
-                params[name] = float(v)
-            else:
-                params[name] = str(v)
-        return cls(algorithm, ComponentKind(d["component"]), params)
 
 
 _ALL_COMPONENTS = tuple(ComponentKind)

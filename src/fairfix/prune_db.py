@@ -76,6 +76,8 @@ class DatabaseEntry:
     def __post_init__(self):
         if not self.components:
             raise ValueError("components must be non-empty")
+        if not math.isfinite(self.L):
+            raise ValueError(f"L must be finite, got {self.L!r}")
         declared = {pd.name: pd for pd in default_space(self.algorithm).params}
         for name, pd in self.params.items():
             if name not in declared:
@@ -142,6 +144,8 @@ def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
     try:
         algorithm = AlgorithmKind(obj["algorithm"])
         components = tuple(ComponentKind(c) for c in obj["components"])
+        if not isinstance(obj["params"], dict):
+            raise TypeError(f"params is not an object: {obj['params']!r:.80}")
         params = {}
         base = default_space(algorithm)
         for name, spec in obj["params"].items():
@@ -162,7 +166,8 @@ def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
             components=components,
             params=params,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    # OverflowError: int() of an infinite p or f, float() of a huge integer L
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise MalformedEntry(i, str(exc)) from exc
 
 

@@ -24,7 +24,7 @@ from .fairea import (
     classify_region,
     pseudo_accuracy,
 )
-from .metrics import MetricKind, bias_value
+from .metrics import MetricKind, accuracy, bias_value
 from .model_zoo import (
     AlgorithmKind,
     FittedPipeline,
@@ -140,18 +140,36 @@ class RepairConfig:
             raise ValueError("seconds must be positive when given")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepairResult:
-    best_config: PipelineConfig
+    """What a repair computed; the rest is derived from it."""
+
     pipeline: FittedPipeline
     log: smbo.TrialLog
     state: BetaState
-    original: TradeoffPoint
-    repaired: TradeoffPoint
-    region: TradeoffRegion
     baseline: TradeoffBaseline
     input_digest: str
-    metric: MetricKind
+
+    @property
+    def best_config(self) -> PipelineConfig:
+        return self.pipeline.config
+
+    @property
+    def metric(self) -> MetricKind:
+        return self.baseline.metric
+
+    @property
+    def original(self) -> TradeoffPoint:
+        return self.baseline.original
+
+    @property
+    def repaired(self) -> TradeoffPoint:
+        best = smbo.best(self.log, self.state.beta)
+        return TradeoffPoint(bias=best.bias, acc=best.accuracy)
+
+    @property
+    def region(self) -> TradeoffRegion:
+        return classify_region(self.baseline, self.repaired)
 
     def beta_trace(self) -> list:
         return [(r.index, r.beta) for r in self.log.records]
@@ -169,7 +187,7 @@ class RepairResult:
             "repaired": {"acc": self.repaired.acc, "bias": self.repaired.bias},
             "original": {"acc": self.original.acc, "bias": self.original.bias},
             "region": self.region.value,
-            "baseline": json.loads(self.baseline.to_json()),
+            "baseline": self.baseline.payload(),
         }
 
     def report_json(self) -> str:
@@ -195,7 +213,7 @@ class _TrialObjective:
     def score(self, fp: FittedPipeline):
         val = self.val_fm
         yhat = predict(fp, val)
-        acc = float((yhat == val.y).mean())
+        acc = accuracy(val.y, yhat)
         bias = bias_value(self.kind, val.y, yhat, val.z)
         self.outcomes[_config_key(fp.config)] = acc, bias
         return acc, bias
@@ -209,6 +227,16 @@ class _TrialObjective:
 
 def _config_key(cfg: PipelineConfig) -> str:
     return json.dumps(cfg.to_dict(), sort_keys=True)
+
+
+def fit_buggy(ds: Dataset, algorithm: AlgorithmKind, seed: int):
+    """Split at DEFAULT_TRAIN_FRACTION, encode both sides with the train
+    encoder and fit the default config on train, as a repair and its
+    baseline both do. Returns (train_fm, val_fm, buggy)."""
+    train_ds, val_ds = split(ds, DEFAULT_TRAIN_FRACTION, seed)
+    train_fm = encode(train_ds)
+    val_fm = encode(val_ds, train_fm.encoder)
+    return train_fm, val_fm, train(default_config(algorithm), train_fm, seed=seed)
 
 
 def repair(
@@ -225,12 +253,8 @@ def repair(
     trial 0. When a database is given and an entry matches this input, the
     search uses that entry's pruned space instead of the default one.
     """
-    train_ds, val_ds = split(ds, DEFAULT_TRAIN_FRACTION, cfg.seed)
-    train_fm = encode(train_ds)
-    val_fm = encode(val_ds, train_fm.encoder)
-    buggy_cfg = default_config(algorithm)
+    train_fm, val_fm, buggy = fit_buggy(ds, algorithm, cfg.seed)
     objective = _TrialObjective(train_fm, val_fm, cfg.metric, cfg.seed)
-    buggy = train(buggy_cfg, train_fm, seed=cfg.seed)
     a1, f1 = objective.score(buggy)  # trial 0 reuses this outcome
     a0 = pseudo_accuracy(val_fm.y)
     if f1 < FAIRNESS_TOLERANCE:
@@ -246,17 +270,13 @@ def repair(
         if entry is not None:
             space = entry.space()
 
-    holder = {"state": state}
-
-    def beta_fn():
-        return holder["state"].beta
-
     def on_trial(record):
+        nonlocal state
         improved = (
             record.status == "ok"
             and record.cost < pseudo_cost(record.beta, a0)
         )
-        holder["state"] = greedy_update(holder["state"], improved)
+        state = greedy_update(state, improved)
 
     deadline = time.monotonic() + cfg.seconds if cfg.seconds else None
     log = smbo.run(
@@ -264,30 +284,16 @@ def repair(
         space,
         cfg.trials,
         cfg.seed,
-        beta_fn=beta_fn,
+        beta_fn=lambda: state.beta,
         on_trial=on_trial,
-        initial=buggy_cfg,
+        initial=buggy.config,
         deadline=deadline,
     )
-    final = holder["state"]
-    best_record = smbo.best(log, final.beta)
+    best_config = smbo.best(log, state.beta).config
     # refit is bitwise-identical to the logged trial: same seed, same split
-    if best_record.config == buggy_cfg:
-        best_pipeline = buggy
+    if best_config == buggy.config:
+        pipeline = buggy
     else:
-        best_pipeline = train(best_record.config, train_fm, seed=cfg.seed)
+        pipeline = train(best_config, train_fm, seed=cfg.seed)
     baseline = build_baseline(buggy, val_fm, cfg.metric, seed=cfg.seed)
-    repaired = TradeoffPoint(bias=best_record.bias, acc=best_record.accuracy)
-    region = classify_region(baseline, repaired)
-    return RepairResult(
-        best_config=best_record.config,
-        pipeline=best_pipeline,
-        log=log,
-        state=final,
-        original=baseline.original,
-        repaired=repaired,
-        region=region,
-        baseline=baseline,
-        input_digest=ds.digest(),
-        metric=cfg.metric,
-    )
+    return RepairResult(pipeline, log, state, baseline, ds.digest())

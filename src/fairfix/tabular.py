@@ -115,8 +115,8 @@ class Schema:
         except ValueError as e:
             raise DataError(f"schema file {path}: {e}") from None
 
-    def _payload(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        payload = {
             "label": self.label,
             "favorable": self.favorable,
             "protected": self.protected,
@@ -124,13 +124,7 @@ class Schema:
             "drop": list(self.drop),
             "categorical": list(self.categorical),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self._payload(), indent=2) + "\n"
-
-    def digest(self) -> str:
-        blob = json.dumps(self._payload(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return json.dumps(payload, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -217,6 +211,8 @@ def load_csv(path, schema: Schema) -> Dataset:
     if header is None:
         raise EmptyAfterCleaning(f"{path} is empty")
     header = [h.strip() for h in header]
+    if len(set(header)) != len(header):  # columns are looked up by name
+        raise DataError(f"{path} repeats a column name in its header")
 
     for col in (schema.label, schema.protected, *schema.drop, *schema.categorical):
         if col not in header:
@@ -255,11 +251,7 @@ def load_csv(path, schema: Schema) -> Dataset:
         cells=cells,
         y=np.array(y),
         z=np.array(z),
-        provenance={
-            "source": str(path),
-            "schema_digest": schema.digest(),
-            "dropped_rows": dropped,
-        },
+        provenance={"source": str(path), "dropped_rows": dropped},
         categorical_override=frozenset(schema.categorical),
     )
 
@@ -326,16 +318,6 @@ class Encoder:
                 categories[name] = tuple(seen)
         return cls(ds.feature_names, tuple(kinds), categories)
 
-    @property
-    def column_names(self) -> tuple:
-        names = []
-        for name, kind in zip(self.feature_names, self.kinds):
-            if kind == "numeric":
-                names.append(name)
-            else:
-                names.extend(f"{name}={v}" for v in self.categories[name])
-        return tuple(names)
-
     def transform(self, ds: Dataset) -> np.ndarray:
         if ds.feature_names != self.feature_names:
             raise ValueError("dataset features do not match encoder")
@@ -368,10 +350,6 @@ class FeatureMatrix:
     y: np.ndarray
     z: np.ndarray
     encoder: Encoder
-
-    @property
-    def column_names(self) -> tuple:
-        return self.encoder.column_names
 
 
 def encode(ds: Dataset, encoder: Encoder | None = None) -> FeatureMatrix:

@@ -17,9 +17,23 @@ from hypothesis import strategies as st
 from fairfix.cli import build_parser, main
 from fairfix.fairea import TradeoffBaseline
 from fairfix.prune_db import BuildConfig, load as load_db
-from fairfix.synth import fixture_schema, write_fixture
+from fairfix.synth import biased_dataset, fixture_schema, write_fixture
 
 NOT_UTF8 = b"\xff\xfe\x00"
+
+# a db entry that the dtree repairs on the `corpus` fixture match
+DTREE_ENTRY = {
+    "dataset": "data.csv", "p": 800, "f": 2, "protected": "group", "L": 0.3,
+    "algorithm": "dtree", "components": ["none", "standardize"],
+    "params": {
+        "max_depth": {"kind": "numeric", "lo": 2, "hi": 10},
+        "criterion": {"kind": "categorical", "values": ["gini"]},
+    },
+}
+
+
+def db_text(*entries) -> str:
+    return json.dumps({"version": "fairfix-db/1", "entries": list(entries)})
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +230,20 @@ def test_bad_db_files_exit_3(corpus, tmp_path, capsys):
         "not_object.json": "[1,2]",
         "entries_not_list.json": json.dumps({"version": "fairfix-db/1", "entries": 5}),
         "nested_too_deep.json": "[" * 100_000,
+        "params_array.json": db_text(dict(DTREE_ENTRY, params=[])),
+        "params_string.json": db_text(dict(DTREE_ENTRY, params="abc")),
+        "lo_nan.json": db_text(dict(
+            DTREE_ENTRY, algorithm="logreg",
+            params={"learning_rate": {"kind": "numeric", "lo": math.nan, "hi": 0.5}},
+        )),
+        "hi_nan.json": db_text(dict(
+            DTREE_ENTRY, algorithm="logreg",
+            params={"l2": {"kind": "numeric", "lo": 1e-6, "hi": math.nan}},
+        )),
+        "L_nan.json": db_text(dict(DTREE_ENTRY, L=math.nan)),
+        "L_infinite.json": db_text(dict(DTREE_ENTRY, L=math.inf)),
+        "L_huge_int.json": db_text(dict(DTREE_ENTRY, L=10**400)),
+        "p_infinite.json": db_text(dict(DTREE_ENTRY, p=math.inf)),
     }
     for name, text in bad.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -229,6 +257,16 @@ def test_bad_db_files_exit_3(corpus, tmp_path, capsys):
         assert code == 3, name
         assert capsys.readouterr().err.startswith("data error:"), name
         assert not out.exists()
+
+
+def csv_bytes(header: str, rows: int = 300) -> bytes:
+    """Fixture rows under `header`, with both feature columns categorical."""
+    ds = biased_dataset(rows, 0.3, seed=0)
+    lines = [header] + [
+        f"{'hi' if float(a) > 0 else 'lo'},{'p' if float(b) > 0 else 'q'},{z},{y}"
+        for (a, b), z, y in zip(ds.cells, ds.z, ds.y)
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def schema_bytes(**changes):
@@ -248,10 +286,11 @@ def schema_bytes(**changes):
     ("schema.json", schema_bytes(drop=5)),
     ("schema.json", schema_bytes(label="group")),  # label == protected
     ("schema.json", b"[" * 100_000),
+    ("data.csv", csv_bytes("c,c,group,outcome")),
 ], ids=[
     "csv-not-utf8", "schema-not-utf8", "schema-array", "schema-string",
     "schema-null", "schema-not-json", "schema-drop-5", "schema-label-is-protected",
-    "schema-nested-too-deep",
+    "schema-nested-too-deep", "csv-repeated-column",
 ])
 def test_bad_schema_or_csv_file_exits_3(tmp_path, capsys, name, contents):
     write_fixture(tmp_path, rows=300)
@@ -399,6 +438,30 @@ def test_fuzzed_evaluate_inputs_exit_with_a_documented_code(
     assert (code == 3) == err.startswith("data error:")
     if key and key[-1] in ("bias", "acc", "a0", "degree") and not finite_number(value):
         assert code == 3
+
+
+ENTRY_KEYS = [(key,) for key in DTREE_ENTRY] + [
+    ("params", name, key)
+    for name, spec in DTREE_ENTRY["params"].items()
+    for key in (None, *spec)
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_db_file_exits_0_or_3(corpus, fuzz_dir, data):
+    path = tuple(k for k in data.draw(st.sampled_from(ENTRY_KEYS)) if k is not None)
+    value = data.draw(JSON_VALUES)
+    (fuzz_dir / "db.json").write_text(db_text(replaced(DTREE_ENTRY, path, value)))
+    code, err = run_quietly([
+        "repair", "--data", str(corpus / "data.csv"),
+        "--schema", str(corpus / "schema.json"),
+        "--model", "dtree", "--metric", "spd",
+        "--trials", "3", "--db", str(fuzz_dir / "db.json"),
+        "--out", str(fuzz_dir / "r.json"),
+    ])
+    assert code in (0, 3), err
+    assert (code == 3) == err.startswith("data error:")
 
 
 def test_undefined_metric_outside_a_trial_exits_3(tmp_path, capsys):

@@ -194,7 +194,6 @@ def test_group_counts_cells_and_totals():
     yhat = [1, 0, 0, 1, 1]
     z = [0, 0, 0, 1, 1]
     c = group_counts(y, yhat, z)
-    assert c.total == 5
     assert c.group_total(0) == 3
     assert c.group_total(1) == 2
     assert c.cells[0, 1, 1] == 1  # z=0, y=1, yhat=1

@@ -210,16 +210,6 @@ def test_categorical_sampling_uniform():
     assert abs(gini - n / 2) <= 5 * math.sqrt(n * 0.25)
 
 
-def test_config_dict_round_trip():
-    rng = np.random.default_rng(7)
-    for a in AlgorithmKind:
-        space = default_space(a)
-        for _ in range(50):
-            cfg = decode_config(sample(space, rng), space)
-            again = PipelineConfig.from_dict(cfg.to_dict())
-            assert again == cfg
-
-
 # ---------------------------------------------------------------------------
 # training behavior
 

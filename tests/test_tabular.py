@@ -187,7 +187,7 @@ def test_encode_one_hot_first_appearance(tmp_path):
     text = "income,city,sex\n>50K,york,female\n<=50K,leeds,male\n>50K,york,female\n<=50K,paris,male\n"
     ds = load_csv(write_toy(tmp_path, text), TOY_SCHEMA)
     fm = encode(ds)
-    assert fm.column_names == ("city=york", "city=leeds", "city=paris")
+    assert fm.encoder.categories == {"city": ("york", "leeds", "paris")}
     assert fm.values.tolist() == [
         [1, 0, 0],
         [0, 1, 0],
@@ -244,4 +244,4 @@ def test_categorical_override_forces_one_hot(tmp_path):
     )
     ds = load_csv(write_toy(tmp_path, text), schema)
     fm = encode(ds)
-    assert fm.column_names == ("a=1", "a=2")
+    assert fm.encoder.categories == {"a": ("1", "2")}
