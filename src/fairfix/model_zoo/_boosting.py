@@ -28,9 +28,10 @@ class _StageTree(RegressionTree):
         finally:
             del self._hess
 
-    def _leaf_value(self, g, rows):
-        v = g[rows].sum() / max(self._hess[rows].sum(), 1e-12)
-        return float(min(max(v, -_LEAF_CLIP), _LEAF_CLIP))
+    def _leaf_values(self, g, leaf_sums, counts):
+        g_sum, h_sum = leaf_sums(g, self._hess)
+        v = g_sum / np.maximum(h_sum, 1e-12)
+        return np.minimum(np.maximum(v, -_LEAF_CLIP), _LEAF_CLIP)
 
 
 class GradientBoostingModel:

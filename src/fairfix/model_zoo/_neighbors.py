@@ -1,4 +1,9 @@
-"""Brute-force k-nearest-neighbors, one block of query rows at a time."""
+"""Brute-force k-nearest-neighbors, one block of query rows at a time.
+
+Each query row takes its k nearest training rows with a partial sort, then
+orders them by distance, equal distances by row, as a full stable sort
+would.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,29 @@ import numpy as np
 
 # most squared distances held at once: a block of query rows takes
 # _BLOCK_VALUES // n_train rows (at least one), so its distance matrix and
-# argsort stay near 32 MB each however many rows are queried
+# partial sort stay near 32 MB each however many rows are queried
 _BLOCK_VALUES = 1 << 22
+
+
+def _nearest(d2, k):
+    """The k columns of each row of d2 that a stable argsort puts first:
+    nearest first, equal distances by column. NaN sorts last."""
+    rows, n = d2.shape
+    if k < n:
+        kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
+        below = d2 < kth
+        tied = d2 == kth
+        nan = np.isnan(kth[:, 0])
+        if nan.any():
+            below[nan] = ~np.isnan(d2[nan])
+            tied[nan] = ~below[nan]
+        # of the columns at the k-th distance, the first ones by column
+        tied &= np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)
+        chosen = np.flatnonzero(below | tied).reshape(rows, k) % n
+    else:
+        chosen = np.broadcast_to(np.arange(n), (rows, n))
+    by_distance = np.argsort(np.take_along_axis(d2, chosen, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(chosen, by_distance, axis=1)
 
 
 class KNNModel:
@@ -36,7 +62,7 @@ class KNNModel:
         k = min(self.k, len(self.y))
         d2 = (X * X).sum(1)[:, None] + sq[None, :] - 2.0 * X @ self.X.T
         np.maximum(d2, 0.0, out=d2)
-        nbr = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nbr = _nearest(d2, k)
         labels = self.y[nbr]
         if self.weights == "distance":
             d = np.sqrt(np.take_along_axis(d2, nbr, axis=1))

@@ -1,20 +1,38 @@
-"""CART-style trees and a bagged forest.
+"""CART-style trees and a bagged forest, grown level by level.
 
 Splits are exact: a node scores every cut between distinct sorted values of
 every candidate feature, and ties go to the first feature in candidate
-order, then to the first cut. One 2-D pass sorts a node's rows by all its
-candidate features at once and scores every feature and cut. A fitted tree
-is a set of flat per-node arrays that `predict` walks one depth level at a
-time.
+order, then to the first cut. Each feature is sorted once at the root, and
+at every depth a stable regroup by node keeps each node's rows sorted by
+value, equal values in ascending row order. All frontier nodes of a depth
+are scored together as rows of padded (nodes, features, rows) blocks. One
+fit can grow several trees, one per equal block of rows. A fitted tree is a
+set of flat per-node arrays, numbered level by level, that `predict` walks
+one depth at a time.
+
+Sums that decide a split or a leaf value are numpy's own pairwise sums over
+a node's rows in sort order, or a leaf's rows in row order, so a tree is
+the same bit for bit whether grown alone or in a stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# one scoring pass takes at most this many sorted values; wider nodes are
-# scored a group of features at a time, which bounds their working memory
-_PASS_VALUES = 1 << 16
+# a scoring block holds at most this many cells (nodes x features x rows);
+# a wider node is scored a group of features at a time, which bounds the
+# working memory of a fit. The root sort and each regroup also work on
+# about this many cells at a time
+_BLOCK_CELLS = 1 << 16
+# padding cells a block may hold beyond its nodes' rows: nodes are taken
+# largest first, each padded to the first, so this keeps a block of small
+# nodes from carrying a large one's width
+_PAD_CELLS = 2048
+# numpy sums at most this many values with its eight-lane loop; longer
+# runs are halved (numpy's pairwise_sum)
+_PW_BLOCK = 128
+# up to this many distinct row lengths, numpy sums each length's rows
+_FEW_LENGTHS = 12
 
 
 def _binary_entropy(p):
@@ -25,24 +43,80 @@ def _binary_entropy(p):
     return out
 
 
-def _cut_scores(V, T, min_leaf, criterion):
+def _pairwise_sums(A, n):
+    """`A[k, :, :n[k]].sum(axis=-1)` for every k, bit for bit.
+
+    A is (c, r, w) and 0 past each row's length, and n is non-increasing.
+    numpy sums a run of up to 128 values in eight lanes over its whole
+    blocks of 8, combines them as ((0+1)+(2+3))+((4+5)+(6+7)) and adds the
+    rest in order, so a run under 8 is all rest, from 0; it halves a longer
+    run (numpy's pairwise_sum). With few distinct lengths numpy sums each
+    length's rows; otherwise runs of up to 128 are summed here that way all
+    at once, and only longer ones by numpy.
+    """
+    c, r, w = A.shape
+    out = np.empty((c, r))
+    firsts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()]
+    short = c if len(firsts) <= _FEW_LENGTHS else int(np.searchsorted(-n, -_PW_BLOCK))
+    for a, b in zip(firsts, [*firsts[1:], c]):
+        if a >= short:
+            break
+        out[a:b] = A[a:b, :, : n[a]].sum(axis=-1)
+    if short == c:
+        return out
+    A, n = A[short:], n[short:]
+    c = len(n)
+    nb = n // 8
+    seq = np.empty((c, r, 8))
+    seq[..., 0] = 0.0
+    blocks = min(w, _PW_BLOCK) // 8
+    if blocks:
+        # blocks past a run's whole ones add 0, which leaves a lane's sum
+        # as it is; numpy sums along a slow axis one block after another
+        whole = np.arange(8 * blocks) < (8 * nb)[:, None, None]
+        lanes = np.where(whole, A[..., : 8 * blocks], 0.0).reshape(c, r, blocks, 8).sum(axis=2)
+        lanes = lanes[..., 0::2] + lanes[..., 1::2]
+        lanes = lanes[..., 0::2] + lanes[..., 1::2]
+        seq[..., 0] = lanes[..., 0] + lanes[..., 1]
+    # the rest, then zeros, added one at a time after the lanes' sum
+    rest = (8 * nb)[:, None, None] + np.arange(7)
+    seq[..., 1:] = np.where(
+        rest < n[:, None, None],
+        A[np.arange(c)[:, None, None], np.arange(r)[:, None], np.minimum(rest, w - 1)],
+        0.0,
+    )
+    # numpy adds a run's sum to the reduction's identity, 0.0
+    out[short:] = np.cumsum(seq, axis=-1)[..., -1] + 0.0
+    return out
+
+
+def _cut_scores(V, T, m, min_leaf, criterion):
     """Weighted child impurity at every cut of every row, inf where invalid.
 
-    V and T are (k, m): a node's values and targets sorted by each row's
-    feature. Cut i puts sorted positions 0..i left; it is valid when it
-    falls between distinct values and leaves min_leaf rows on each side.
+    V and T are (c, f, w): node k's values and targets sorted by each of its
+    candidate features in the first m[k] places of a row. Past them, V
+    repeats the last value and T is 0. Cut i puts sorted places 0..i left;
+    it is valid when it falls between distinct values and leaves min_leaf
+    rows on each side.
     """
-    m = V.shape[1]
-    ln = np.arange(1, m)
-    rn = m - ln
+    w = V.shape[-1]
+    ln = np.arange(1.0, w)
+    rn = m[:, None, None] - ln
+    # inf past the last valid cut of each node, 0 before it
+    tail = np.where(rn < min_leaf, np.inf, 0.0)
+    np.maximum(rn, 1.0, out=rn)  # a dummy right count past a node's rows
     # in-place steps keep the arithmetic of the per-feature expressions
     # il = max(lq/ln - (ls/ln)**2, 0) and scores = (ln*il + rn*ir)/m
     if criterion == "variance":
-        Q = T * T
-        ls = np.cumsum(T, axis=1)[:, :-1]
-        lq = np.cumsum(Q, axis=1)[:, :-1]
-        rs = T.sum(axis=1, keepdims=True) - ls
-        rq = Q.sum(axis=1, keepdims=True) - lq
+        # targets and their squares, summed in one pass
+        f = T.shape[1]
+        TQ = np.empty((len(T), 2 * f, w))
+        TQ[:, :f] = T
+        np.multiply(T, T, out=TQ[:, f:])
+        left = np.cumsum(TQ[..., :-1], axis=-1)
+        right = _pairwise_sums(TQ, m)[..., None] - left
+        ls, lq = left[:, :f], left[:, f:]
+        rs, rq = right[:, :f], right[:, f:]
         il, ir = lq / ln, rq / rn
         ls /= ln
         rs /= rn
@@ -51,8 +125,8 @@ def _cut_scores(V, T, min_leaf, criterion):
         np.maximum(il, 0.0, out=il)
         np.maximum(ir, 0.0, out=ir)
     else:
-        lp = np.cumsum(T, axis=1)[:, :-1]
-        rp = T.sum(axis=1, keepdims=True) - lp
+        lp = np.cumsum(T[..., :-1], axis=-1)
+        rp = _pairwise_sums(T, m)[..., None] - lp
         pl = lp / ln
         pr = rp / rn
         if criterion == "gini":
@@ -64,48 +138,144 @@ def _cut_scores(V, T, min_leaf, criterion):
     il *= ln
     ir *= rn
     il += ir
-    il /= m
-    il[V[:, 1:] == V[:, :-1]] = np.inf
-    il[:, : min_leaf - 1] = np.inf
-    il[:, m - min_leaf :] = np.inf
+    il /= m[:, None, None]
+    il[V[..., 1:] == V[..., :-1]] = np.inf
+    il[..., : min_leaf - 1] = np.inf
+    # padding adds nothing to a node's sums, so a score past its rows is
+    # finite before this, and inf after
+    il += tail
     return il
 
 
-def _best_split(X, target, rows, feats, min_leaf, criterion):
-    """Best (feature, threshold) over feats for one node, or None.
+def _blocks(sizes, features):
+    """(nodes, first feature, end feature) of each scoring block.
 
-    X is the C-contiguous training matrix and rows lists the node's rows in
-    ascending order. A pass gathers a group of features as a (k, m) array
-    and sorts each row stably, so equal values keep row order. Ties resolve
-    to the first feature in feats order and the first cut position, which
-    keeps tree construction deterministic.
+    Nodes are taken largest first, each block padded to its first node's
+    size; a node too wide for one block is scored a group of features at a
+    time, in feature order.
     """
-    m, d = rows.size, X.shape[1]
-    step = max(1, _PASS_VALUES // m)
-    best, best_score = None, np.inf
-    for lo in range(0, len(feats), step):
-        part = feats[lo : lo + step, None]
-        # row r of order lists the node's rows sorted by feature part[r]
-        order = rows[np.argsort(X.ravel()[rows * d + part], axis=1, kind="stable")]
-        # the gathers are C-contiguous, so each sum along the last axis is
-        # numpy's pairwise sum, bit-equal to summing one feature's 1-D slice
-        V = X.ravel()[order * d + part]
-        scores = _cut_scores(V, target[order], min_leaf, criterion)
-        # NaN scores come only from non-finite or overflowing targets, which
-        # leave no finite score in any feature: a NaN pick loses to best_score
-        r, i = divmod(int(np.argmin(scores)), m - 1)
-        if scores[r, i] < best_score:  # strict, so an earlier feature keeps a tie
-            best_score = scores[r, i]
-            best = int(part[r, 0]), float((V[r, i] + V[r, i + 1]) / 2.0)
-    return best
+    by_size = np.argsort(-sizes, kind="stable") if len(sizes) > 1 else np.zeros(1, np.intp)
+    size = sizes[by_size].tolist()
+    i = 0
+    while i < len(size):
+        w = size[i]
+        group = max(1, _BLOCK_CELLS // w)
+        if group < features:
+            for f in range(0, features, group):
+                yield by_size[i : i + 1], f, min(f + group, features)
+            i += 1
+            continue
+        j, pad = i + 1, 0
+        room = _BLOCK_CELLS // (features * w)
+        while j < len(size) and j - i < room:
+            pad += (w - size[j]) * features
+            if pad > _PAD_CELLS:
+                break
+            j += 1
+        yield by_size[i:j], 0, features
+        i = j
+
+
+def _best_splits(X, target, order, starts, sizes, feats, min_leaf, criterion):
+    """(score, feature, threshold) of the best cut of each node.
+
+    Node k holds places starts[k]..starts[k]+sizes[k] of every row of
+    `order`; feats[k] lists its candidate features, or None means every
+    feature. A node with no valid cut scores inf. NaN scores come only from
+    non-finite or overflowing targets, which leave no finite score in any
+    feature: a NaN pick loses, and the node stays a leaf.
+    """
+    d, width = X.shape[1], order.shape[1]
+    flat = order.ravel()
+    every = feats is None
+    n_feats = X.shape[1] if every else feats.shape[1]
+    best = np.full(len(starts), np.inf)
+    feature = np.zeros(len(starts), dtype=np.intp)
+    threshold = np.zeros(len(starts))
+    for nodes, f0, f1 in _blocks(sizes, n_feats):
+        m = sizes[nodes]
+        w = int(m[0])
+        if every:
+            fb = np.broadcast_to(np.arange(f0, f1), (len(nodes), f1 - f0))
+        else:
+            fb = feats[nodes, f0:f1]
+        if every and len(nodes) == 1:
+            a = int(starts[nodes[0]])
+            rows = order[None, f0:f1, a : a + w].astype(np.intp)
+        else:
+            place = starts[nodes, None] + np.minimum(np.arange(w), m[:, None] - 1)
+            rows = flat[fb[:, :, None] * width + place[:, None, :]].astype(np.intp)
+        # C-contiguous (node, feature, row) gathers, so a row's sum is
+        # numpy's pairwise sum, as for one feature's 1-D slice
+        V = X.ravel()[rows * d + fb[:, :, None]]
+        T = target[rows]
+        if w > m[-1]:
+            np.copyto(T, 0.0, where=np.arange(w) >= m[:, None, None])
+        scores = _cut_scores(V, T, m, min_leaf, criterion)
+        c = len(nodes)
+        pick = scores.reshape(c, -1).argmin(axis=1)
+        r, i = np.divmod(pick, w - 1)
+        k = np.arange(c)
+        score = scores[k, r, i]
+        win = score < best[nodes]  # strict, so an earlier group keeps a tie
+        won = nodes[win]
+        best[won] = score[win]
+        feature[won] = fb[k[win], r[win]]
+        threshold[won] = (V[k, r, i][win] + V[k, r, i + 1][win]) / 2.0
+    return best, feature, threshold
+
+
+def _presort(X, trees):
+    """Each feature's order of X's rows, sorted within each of `trees`
+    equal blocks of rows; equal values keep row order."""
+    N, d = X.shape
+    n = N // trees
+    order = np.empty((d, N), dtype=np.uint16 if N <= 2**16 else np.intp)
+    step = max(1, _BLOCK_CELLS // max(N, 1))
+    offsets = (np.arange(trees) * n)[:, None]
+    for f in range(0, d, step):
+        cols = X[:, f : f + step].T.reshape(-1, n)
+        # an unstable sort, then rows re-sorted within runs of equal values:
+        # the same order as a stable sort, sooner. NaNs sort last and make
+        # one run
+        key = np.argsort(cols, axis=1)
+        v = np.take_along_axis(cols, key, axis=1)
+        new_run = v[:, 1:] != v[:, :-1]
+        if np.isnan(v[:, -1]).any():
+            new_run &= ~np.isnan(v[:, :-1])
+        if not new_run.all():  # some equal values
+            runs = np.zeros(v.shape, dtype=np.int64)
+            np.cumsum(new_run, axis=1, out=runs[:, 1:])
+            key += runs * n
+            key.sort(axis=1)
+            key %= n
+        order[f : f + step] = (key.reshape(-1, trees, n) + offsets).reshape(-1, N)
+    return order
+
+
+def _regroup(order, M, side, lefts, rights):
+    """Regroup the first M places of each row of `order` in place: rows on
+    side 0 first, then rows on side 1, each in their current order; rows on
+    side 2 leave. Each row holds `lefts` side-0 and `rights` side-1 rows."""
+    step = max(1, _BLOCK_CELLS // max(M, 1))
+    for f in range(0, len(order), step):
+        part = order[f : f + step, :M]
+        n = len(part)
+        part = part.ravel()
+        s = np.take(side, part)
+        goes = np.compress(s == 0, part), np.compress(s == 1, part)
+        order[f : f + step, :lefts] = goes[0].reshape(n, lefts)
+        order[f : f + step, lefts : lefts + rights] = goes[1].reshape(n, rights)
+    return lefts + rights
 
 
 class _Tree:
     """Shared growth/prediction machinery; subclasses set leaf values.
 
-    Node 0 is the root and nodes are numbered depth-first, left child
-    first. A leaf has feature -1 and is its own left and right child, so a
-    walk that reaches it stays there.
+    Nodes are numbered level by level: the roots first, one per tree, then
+    each depth's nodes, the left children of its split nodes in their order
+    before the right ones. A leaf has feature -1 and is its own left and
+    right child, so a walk that reaches it stays there.
     """
 
     def __init__(self, max_depth, min_leaf, criterion):
@@ -113,86 +283,157 @@ class _Tree:
         self.min_leaf = min_leaf
         self.criterion = criterion
         self.n_features = 0
+        self.n_trees = 0
         self.depth = 0
         self.feature = self.threshold = self.left = self.right = self.value = None
 
-    def _leaf_value(self, target, rows):
-        """Value of a leaf from its training rows, given in ascending order."""
+    def _leaf_values(self, target, leaf_sums, counts):
+        """Each leaf's value. `leaf_sums(a, ...)` sums each per-row array
+        over each leaf's training rows in ascending order, one row of sums
+        per array; counts are the leaves' row counts."""
         raise NotImplementedError
 
-    def fit(self, X, target, rng=None, max_features=None):
-        """Grow the tree on (X, target); `rng` draws `max_features`
-        candidate features at every split node."""
+    def fit(self, X, target, rng=None, max_features=None, trees=1):
+        """Grow `trees` trees, tree t on the t-th of `trees` equal blocks of
+        rows of (X, target); `rng` draws `max_features` candidate features
+        at every split node, level by level, left to right."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
-        n, d = X.shape
+        N, d = X.shape
+        if N % trees:
+            raise ValueError(f"{N} rows do not make {trees} equal blocks")
         self.n_features = d
-        every = np.arange(d)
+        self.n_trees = trees
         drawn = max_features is not None and max_features < d
-        feature, threshold, left, right, value = [], [], [], [], []
-        deepest = 0
-        # depth-first, left child first; a right child sets right[parent].
-        # A node holds its rows in ascending order, as do its children.
-        stack = [(np.arange(n), 0, -1)]
-        while stack:
-            rows, depth, parent = stack.pop()
-            node = len(feature)
-            if parent >= 0:
-                right[parent] = node
-            deepest = max(deepest, depth)
-            t = target[rows]
-            best = None
-            if not (
-                depth >= self.max_depth
-                or rows.size < 2 * self.min_leaf
-                or t.min() == t.max()
-            ):
+        order = _presort(X, trees)  # each level sorts its first M places
+        M = N
+        starts = np.arange(trees) * (N // trees)
+        sizes = np.full(trees, N // trees)
+        leaf_of = np.empty(N, dtype=np.intp)
+        side = np.empty(N, dtype=np.uint8)  # 0 left, 1 right, 2 in a leaf
+        place = np.arange(trees)  # each node's place in its level, left to right
+        levels = []
+        base, depth = 0, 0
+        while True:
+            K = len(starts)
+            ids = base + np.arange(K)
+            k = np.repeat(np.arange(K), sizes)  # the node at each place
+            rows = order[0, :M].astype(np.intp)
+            feature = np.full(K, -1, dtype=np.intp)
+            threshold = np.zeros(K)
+            cand = np.empty(0, dtype=np.intp)
+            if depth < self.max_depth:
+                t = target[rows]
+                cand = np.flatnonzero(
+                    (sizes >= 2 * self.min_leaf)
+                    & (np.minimum.reduceat(t, starts) != np.maximum.reduceat(t, starts))
+                )
+            if cand.size:
+                feats = None
                 if drawn:
-                    feats = np.sort(rng.choice(d, size=max_features, replace=False))
-                else:
-                    feats = every
-                best = _best_split(X, target, rows, feats, self.min_leaf, self.criterion)
-            if best is None:
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(node)
-                right.append(node)
-                value.append(self._leaf_value(target, rows))
-                continue
-            j, thr = best
-            feature.append(j)
-            threshold.append(thr)
-            left.append(node + 1)
-            right.append(-1)
-            value.append(0.0)
-            goes_left = X[rows, j] <= thr
-            stack.append((rows[~goes_left], depth + 1, node))
-            stack.append((rows[goes_left], depth + 1, -1))
-        self.depth = deepest
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.value = np.array(value, dtype=np.float64)
+                    # one draw per node in level order, left to right
+                    feats = np.empty((len(cand), max_features), dtype=np.intp)
+                    for j in np.argsort(place[cand]).tolist():
+                        feats[j] = np.sort(rng.choice(d, size=max_features, replace=False))
+                score, f, thr = _best_splits(
+                    X, target, order, starts[cand], sizes[cand], feats,
+                    self.min_leaf, self.criterion,
+                )
+                ok = score < np.inf
+                cand = cand[ok]
+                feature[cand] = f[ok]
+                threshold[cand] = thr[ok]
+            split = feature >= 0
+            S = len(cand)
+            # split node r of this depth's S has next-depth nodes r, its
+            # left child, and S + r, its right
+            child = np.zeros(K, dtype=np.intp)
+            child[cand] = np.arange(S)
+            left = np.where(split, base + K + child, ids)
+            levels.append((feature, threshold, left, np.where(split, left + S, ids)))
+            if not S:
+                leaf_of[rows] = ids[k]
+                break
+            kk = split[k]
+            if not kk.all():
+                leaf_of[rows[~kk]] = ids[k[~kk]]
+            x = X.ravel()[rows * d + feature[k]]
+            right = ~(x <= threshold[k]) & kk
+            base += K
+            depth += 1
+            if depth == self.max_depth:
+                # the children are leaves
+                leaf_of[rows[kk]] = base + (child[k] + S * right)[kk]
+                ids = base + np.arange(2 * S)
+                levels.append((np.full(2 * S, -1), np.zeros(2 * S), ids, ids))
+                break
+            if drawn:
+                rank = np.empty(S, dtype=np.intp)
+                rank[np.argsort(place[cand])] = np.arange(S)
+                place = np.concatenate((2 * rank, 2 * rank + 1))
+            side[rows] = np.where(kk, right, 2)
+            rights = np.bincount(k[right], minlength=K)[cand]
+            sizes = np.concatenate((sizes[cand] - rights, rights))
+            M = _regroup(order, M, side, int(sizes[:S].sum()), int(rights.sum()))
+            starts = np.cumsum(sizes) - sizes
+        self.depth = depth
+        self.feature, self.threshold, self.left, self.right = (
+            np.concatenate(a) for a in zip(*levels)
+        )
+        self.value = np.zeros(len(self.feature))
+        # each leaf's rows, ascending, leaf after leaf; numpy's stable
+        # argsort of 16-bit keys is a radix sort
+        counts = np.bincount(leaf_of, minlength=len(self.feature))
+        leaves = np.flatnonzero(counts)
+        keys = leaf_of.astype(np.uint16) if len(counts) <= 2**16 else leaf_of
+        by_leaf = np.argsort(keys, kind="stable")
+        counts = counts[leaves]
+        firsts = np.cumsum(counts) - counts
+
+        def leaf_sums(*arrays):
+            return _run_sums(np.stack([a[by_leaf] for a in arrays]), firsts, counts).T
+
+        self.value[leaves] = self._leaf_values(target, leaf_sums, counts)
         return self
 
     def predict(self, X):
+        """Values at X's rows: (len(X),) for one tree, else (trees, len(X))."""
         X = np.asarray(X, dtype=np.float64)
         r = np.arange(len(X))
-        node = np.zeros(len(X), dtype=np.intp)
+        node = np.repeat(np.arange(self.n_trees)[:, None], len(X), axis=1)
         for _ in range(self.depth):
             goes_left = X[r, self.feature[node]] <= self.threshold[node]
             node = np.where(goes_left, self.left[node], self.right[node])
-        return self.value[node]
+        out = self.value[node]
+        return out[0] if self.n_trees == 1 else out
+
+
+def _run_sums(V, firsts, counts):
+    """numpy's sum of V[i, a:a+m] for each row i and run (a, m) in
+    zip(firsts, counts), as a (runs, rows) array."""
+    out = np.empty((len(counts), len(V)))
+    long = counts > _PW_BLOCK
+    for j in np.flatnonzero(long).tolist():
+        out[j] = V[:, firsts[j] : firsts[j] + counts[j]].sum(axis=-1)
+    short = np.flatnonzero(~long)
+    if short.size:
+        short = short[np.argsort(-counts[short], kind="stable")]
+        m = counts[short]
+        w = np.arange(m[0])
+        place = firsts[short, None] + np.minimum(w, m[:, None] - 1)
+        block = np.stack([v[place] for v in V], axis=1)
+        np.copyto(block, 0.0, where=w >= m[:, None, None])
+        out[short] = _pairwise_sums(block, m)
+    return out
 
 
 class ClassificationTree(_Tree):
     def __init__(self, max_depth, min_leaf, criterion="gini"):
         super().__init__(max_depth, min_leaf, criterion)
 
-    def _leaf_value(self, target, rows):
+    def _leaf_values(self, target, leaf_sums, counts):
         # majority label, ties to 1
-        return 1.0 if target[rows].mean() >= 0.5 else 0.0
+        return np.where(leaf_sums(target)[0] / counts >= 0.5, 1.0, 0.0)
 
     def predict(self, X):
         return super().predict(X).astype(np.int8)
@@ -202,8 +443,8 @@ class RegressionTree(_Tree):
     def __init__(self, max_depth, min_leaf):
         super().__init__(max_depth, min_leaf, "variance")
 
-    def _leaf_value(self, target, rows):
-        return float(target[rows].mean())
+    def _leaf_values(self, target, leaf_sums, counts):
+        return leaf_sums(target)[0] / counts
 
 
 class RandomForestModel:

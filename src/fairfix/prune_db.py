@@ -140,6 +140,11 @@ def save(db: Database, path) -> None:
     Path(path).write_text(db.to_json(), encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
     try:
         algorithm = AlgorithmKind(obj["algorithm"])
@@ -156,17 +161,25 @@ def _entry_from_payload(i: int, obj: dict) -> DatabaseEntry:
                 params[name] = pd.narrowed(lo=spec["lo"], hi=spec["hi"])
             else:
                 raise ValueError(f"param {name!r}: unknown kind {spec['kind']!r}")
+        for key in ("dataset", "protected"):
+            if not isinstance(obj[key], str):
+                raise TypeError(f"{key} is not a string: {obj[key]!r:.80}")
+        for key in ("p", "f"):
+            if not _is_int(obj[key]):
+                raise TypeError(f"{key} is not an integer: {obj[key]!r:.80}")
+        if not (_is_int(obj["L"]) or isinstance(obj["L"], float)):
+            raise TypeError(f"L is not a number: {obj['L']!r:.80}")
         return DatabaseEntry(
             dataset=obj["dataset"],
-            p=int(obj["p"]),
-            f=int(obj["f"]),
+            p=obj["p"],
+            f=obj["f"],
             protected=obj["protected"],
             L=float(obj["L"]),
             algorithm=algorithm,
             components=components,
             params=params,
         )
-    # OverflowError: int() of an infinite p or f, float() of a huge integer L
+    # OverflowError: float() of a huge integer L
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise MalformedEntry(i, str(exc)) from exc
 

@@ -135,17 +135,15 @@ def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
     y = np.array(costs)
     incumbent = float(y.min())
     n = len(rows)
-    trees = []
-    for _ in range(ENSEMBLE_SIZE):
-        idx = rng.integers(0, n, n)
-        tree = RegressionTree(max_depth=8, min_leaf=1)
-        tree.fit(X[idx], y[idx])
-        trees.append(tree)
+    # one stacked fit grows the ensemble, tree t on the t-th bootstrap draw
+    idx = np.concatenate([rng.integers(0, n, n) for _ in range(ENSEMBLE_SIZE)])
+    ensemble = RegressionTree(max_depth=8, min_leaf=1)
+    ensemble.fit(X[idx], y[idx], trees=ENSEMBLE_SIZE)
     drawn = np.array([sample(space, rng) for _ in range(CANDIDATES)])
     C = drawn.copy()  # each param column snapped to its config's coordinate
     for j, p in enumerate(space.params, 1):
         C[:, j] = [p.encode(p.decode(x)) for x in drawn[:, j].tolist()]
-    preds = np.array([t.predict(C) for t in trees])
+    preds = ensemble.predict(C)  # (trees, candidates)
     ei = _expected_improvement(incumbent, preds.mean(axis=0), preds.std(axis=0))
     return decode_config(drawn[int(np.argmax(ei))].tolist(), space), "surrogate"
 

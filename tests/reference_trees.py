@@ -1,6 +1,8 @@
 """The tree grower and gboost leaf loop as they were before the 2-D
-grower: one argsort per node and feature, `_Node` objects walked
-recursively, and Newton leaf values set through `apply`.
+grower: one argsort per node and feature, `_Node` objects, and Newton leaf
+values set through `apply`. Nodes are grown breadth-first, level by level
+and left to right, which is the order a forest draws its per-node features
+in; a tree that draws none is the same in any order.
 
 Test-only. `test_trees_reference.py` checks the package's trees against
 these bit for bit.
@@ -9,6 +11,7 @@ these bit for bit.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -114,11 +117,14 @@ class _Tree:
         target = np.asarray(target, dtype=np.float64)
         self.n_features = X.shape[1]
         self.leaves = []
-        self.root = self._grow(X, target, np.arange(len(target)), 0, rng, max_features)
+        self.root = _Node()
+        queue = deque([(self.root, np.arange(len(target)), 0)])
+        while queue:
+            node, idx, depth = queue.popleft()
+            self._grow(node, X, target, idx, depth, rng, max_features, queue)
         return self
 
-    def _grow(self, X, target, idx, depth, rng, max_features):
-        node = _Node()
+    def _grow(self, node, X, target, idx, depth, rng, max_features, queue):
         t = target[idx]
         if (
             depth >= self.max_depth
@@ -136,9 +142,9 @@ class _Tree:
             return self._make_leaf(node, t)
         node.feature, node.threshold = best
         mask = X[idx, node.feature] <= node.threshold
-        node.left = self._grow(X, target, idx[mask], depth + 1, rng, max_features)
-        node.right = self._grow(X, target, idx[~mask], depth + 1, rng, max_features)
-        return node
+        node.left, node.right = _Node(), _Node()
+        queue.append((node.left, idx[mask], depth + 1))
+        queue.append((node.right, idx[~mask], depth + 1))
 
     def _make_leaf(self, node, t):
         node.value = self._leaf_value(t)

@@ -447,11 +447,35 @@ ENTRY_KEYS = [(key,) for key in DTREE_ENTRY] + [
 ]
 
 
+def _json_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _finite(v):
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
+# what each typed field of an entry accepts; anything else exits 3
+ENTRY_TYPES = {
+    ("dataset",): lambda v: isinstance(v, str),
+    ("protected",): lambda v: isinstance(v, str),
+    ("p",): _json_int,
+    ("f",): _json_int,
+    ("L",): lambda v: (_json_int(v) or isinstance(v, float)) and _finite(v),
+}
+WRONG_TYPES = [[1, {}], None, True, False, 2.5, "800", float("nan"), {"a": 1}]
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_fuzzed_db_file_exits_0_or_3(corpus, fuzz_dir, data):
     path = tuple(k for k in data.draw(st.sampled_from(ENTRY_KEYS)) if k is not None)
     value = data.draw(JSON_VALUES)
+    if path in ENTRY_TYPES and data.draw(st.booleans()):
+        value = data.draw(st.sampled_from(WRONG_TYPES))
     (fuzz_dir / "db.json").write_text(db_text(replaced(DTREE_ENTRY, path, value)))
     code, err = run_quietly([
         "repair", "--data", str(corpus / "data.csv"),
@@ -462,6 +486,8 @@ def test_fuzzed_db_file_exits_0_or_3(corpus, fuzz_dir, data):
     ])
     assert code in (0, 3), err
     assert (code == 3) == err.startswith("data error:")
+    if path in ENTRY_TYPES and not ENTRY_TYPES[path](value):
+        assert code == 3, err
 
 
 def test_undefined_metric_outside_a_trial_exits_3(tmp_path, capsys):

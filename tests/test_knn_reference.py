@@ -92,3 +92,17 @@ def test_block_rows_follow_the_training_size():
         got = model.predict(X)
     assert blocks == [5] * 7
     assert got.tobytes() == brute_force_predict(X_train, y, X, 3, "distance").tobytes()
+
+
+def test_overflowing_distances_sort_last_as_in_the_brute_force():
+    # squares of 1e200 overflow, so these rows' distances are NaN, which a
+    # stable sort puts last, in row order
+    X_train = np.array([[0.0], [1e200], [1.0], [-1e200], [2.0], [1e200]])
+    y = np.array([1, 0, 1, 0, 0, 1])
+    X = np.array([[0.5], [1e200], [-3.0]])
+    with np.errstate(all="ignore"):
+        for k in range(1, 8):
+            for weights in ("uniform", "distance"):
+                got = KNNModel(k, weights).fit(X_train, y).predict(X)
+                want = brute_force_predict(X_train, y, X, k, weights)
+                assert got.tolist() == want.tolist()

@@ -189,6 +189,21 @@ def test_malformed_entry_reports_index(tmp_path):
     assert info.value.index == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dataset", [1, {}]), ("dataset", None), ("protected", None), ("protected", 3),
+    ("p", True), ("p", 2.5), ("p", 800.0), ("p", "800"), ("f", False), ("f", None),
+    ("L", False), ("L", "0.3"), ("L", None), ("L", [0.3]),
+])
+def test_wrong_typed_entry_fields_are_malformed(tmp_path, key, value):
+    db = json.loads(two_entry_db().to_json())
+    db["entries"][0][key] = value
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(db))
+    with pytest.raises(MalformedEntry) as info:
+        load(path)
+    assert info.value.index == 0
+
+
 def test_load_intersects_with_default_ranges(tmp_path):
     db = json.loads(two_entry_db().to_json())
     # file claims a wider range than the declared space allows

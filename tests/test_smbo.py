@@ -411,7 +411,9 @@ def test_snapped_candidates_are_the_encoded_configs(space, seed):
     assert tag == "surrogate"
     rows = [row for _, row in draws]
     assert len(rows) == smbo.CANDIDATES
-    C = predicts[-1][0][1]
+    # the ensemble scores every candidate in one walk of its stacked trees
+    [((_, C), preds)] = predicts
+    assert preds.shape == (smbo.ENSEMBLE_SIZE, smbo.CANDIDATES)
     want = np.array([encode_config(decode_config(row, space), space) for row in rows])
     assert C.dtype == want.dtype and C.tobytes() == want.tobytes()
 

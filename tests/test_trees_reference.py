@@ -1,12 +1,14 @@
-"""The 2-D tree grower against the per-feature reference it replaced.
+"""The level-wise tree grower against the per-feature reference it replaced.
 
-Every check is exact: the same nodes in the same order, bitwise-equal
-thresholds and leaf values, and bitwise-equal `predict` output.
+Every check is exact: the same nodes in the same depth-first order,
+bitwise-equal thresholds and leaf values, and bitwise-equal `predict`
+output.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,9 @@ from fairfix.model_zoo._trees import (
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
-# values per scoring pass: one feature at a time, a few, or the default
-PASS_VALUES = st.sampled_from([1, 40, _trees._PASS_VALUES])
+# cells per scoring block: one feature of one node at a time, a few, or the
+# default
+BLOCK_CELLS = st.sampled_from([1, 40, _trees._BLOCK_CELLS])
 
 
 @st.composite
@@ -45,14 +48,40 @@ def probe_rows(X):
     return np.vstack([X, sweep, lo - 1.0, hi + 1.0, X[::-1]])
 
 
+def structure(tree, root=0):
+    """(feature, threshold, value) per node of the tree at `root`, depth
+    first, left before right, as `reference_trees` lists them."""
+    out, stack = [], [root]
+    while stack:
+        k = stack.pop()
+        out.append((int(tree.feature[k]), tree.threshold[k], tree.value[k]))
+        if tree.feature[k] >= 0:
+            stack.extend((tree.right[k], tree.left[k]))
+    return out
+
+
+def assert_same_structure(got, want):
+    assert [f for f, _, _ in got] == [f for f, _, _ in want]
+    assert np.array([t for _, t, _ in got]).tobytes() == np.array([t for _, t, _ in want]).tobytes()
+    assert np.array([v for _, _, v in got]).tobytes() == np.array([v for _, _, v in want]).tobytes()
+
+
 def assert_same_tree(new, old, X):
-    structure = old.structure()
-    assert new.feature.tolist() == [f for f, _, _ in structure]
-    assert new.threshold.tobytes() == np.array([t for _, t, _ in structure]).tobytes()
-    assert new.value.tobytes() == np.array([v for _, _, v in structure]).tobytes()
+    assert_same_structure(structure(new), old.structure())
     P = probe_rows(X)
     a, b = new.predict(P), old.predict(P)
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def draw_targets(data, kind, n):
+    if kind == "integer":
+        values = st.integers(-3, 3).map(float)
+    elif kind == "float":
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    else:
+        # overflowing squares and infinities give inf and NaN scores
+        values = st.sampled_from([0.0, 1.0, -2.5, 1e200, -1e200, np.inf, -np.inf])
+    return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
 
 
 @SETTINGS
@@ -62,13 +91,13 @@ def assert_same_tree(new, old, X):
     max_depth=st.integers(1, 6),
     min_leaf=st.integers(1, 4),
     criterion=st.sampled_from(["gini", "entropy"]),
-    pass_values=PASS_VALUES,
+    cells=BLOCK_CELLS,
 )
 def test_classification_tree_matches_reference(
-    X, data, max_depth, min_leaf, criterion, pass_values
+    X, data, max_depth, min_leaf, criterion, cells
 ):
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
-    with mock.patch.object(_trees, "_PASS_VALUES", pass_values):
+    with mock.patch.object(_trees, "_BLOCK_CELLS", cells):
         new = ClassificationTree(max_depth, min_leaf, criterion).fit(X, y)
     old = ref.ClassificationTree(max_depth, min_leaf, criterion).fit(X, y)
     assert_same_tree(new, old, X)
@@ -81,21 +110,13 @@ def test_classification_tree_matches_reference(
     max_depth=st.integers(1, 6),
     min_leaf=st.integers(1, 4),
     target=st.sampled_from(["integer", "float", "extreme"]),
-    pass_values=PASS_VALUES,
+    cells=BLOCK_CELLS,
 )
 def test_regression_tree_matches_reference(
-    X, data, max_depth, min_leaf, target, pass_values
+    X, data, max_depth, min_leaf, target, cells
 ):
-    n = len(X)
-    if target == "integer":
-        values = st.integers(-3, 3).map(float)
-    elif target == "float":
-        values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
-    else:
-        # overflowing squares and infinities give inf and NaN scores
-        values = st.sampled_from([0.0, 1.0, -2.5, 1e200, -1e200, np.inf, -np.inf])
-    y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
-    with np.errstate(all="ignore"), mock.patch.object(_trees, "_PASS_VALUES", pass_values):
+    y = draw_targets(data, target, len(X))
+    with np.errstate(all="ignore"), mock.patch.object(_trees, "_BLOCK_CELLS", cells):
         new = RegressionTree(max_depth, min_leaf).fit(X, y)
         old = ref.RegressionTree(max_depth, min_leaf).fit(X, y)
     assert_same_tree(new, old, X)
@@ -156,38 +177,118 @@ def test_boosting_on_continuous_data_matches_reference():
 
 
 def test_nodes_see_ascending_rows_and_the_reference_scores():
-    """Every node's rows arrive in ascending order, so a stable sort breaks
-    value ties by row as the reference does, and every scoring pass that
-    fit runs gives each feature the reference's scores bit for bit."""
+    """Every scored row of a block holds one node's rows sorted by one
+    feature, equal values in ascending row order, as the reference's stable
+    sort has them, and its scores are the reference's bit for bit."""
     rng = np.random.default_rng(3)
     X = rng.integers(0, 4, size=(300, 4)).astype(np.float64)
     X[:, 3] = rng.normal(size=300)
-    y = rng.normal(size=300) * 1e3
-    nodes, passes = [], []
-    real_split, real_scores = _trees._best_split, _trees._cut_scores
+    y = rng.normal(size=300) * 1e3  # distinct, so a target names its row
+    row_of = {v: r for r, v in enumerate(y.tolist())}
+    blocks = []
+    real_scores = _trees._cut_scores
 
-    def split_spy(matrix, target, rows, *rest):
-        nodes.append(rows.copy())
-        return real_split(matrix, target, rows, *rest)
-
-    def scores_spy(V, T, *rest):
-        scores = real_scores(V, T, *rest)
-        passes.append((V.copy(), T.copy(), scores))
+    def scores_spy(V, T, m, *rest):
+        scores = real_scores(V, T, m, *rest)
+        blocks.append((V.copy(), T.copy(), m.copy(), scores))
         return scores
 
-    with mock.patch.multiple(_trees, _best_split=split_spy, _cut_scores=scores_spy):
+    with mock.patch.object(_trees, "_cut_scores", scores_spy):
         RegressionTree(6, 2).fit(X, y)
-    # one pass per node: four features of at most 300 rows fit in a pass
-    assert len(nodes) > 10 and len(passes) == len(nodes)
-    for rows, (V, T, scores) in zip(nodes, passes):
-        assert np.all(np.diff(rows) > 0)
-        for r in range(len(V)):
-            order = rows[np.argsort(X[rows, r], kind="stable")]
-            assert V[r].tobytes() == X[order, r].tobytes()
-            assert T[r].tobytes() == y[order].tobytes()
-            want, valid = ref._child_impurity(T[r].copy(), V.shape[1], 2, "variance")
-            valid &= V[r, 1:] != V[r, :-1]
-            assert np.where(valid, want, np.inf).tobytes() == scores[r].tobytes()
+    nodes = 0
+    for V, T, m, scores in blocks:
+        # every feature of a node fits one block: 4 features of 300 rows
+        assert V.shape[1] == X.shape[1]
+        for k, size in enumerate(m.tolist()):
+            nodes += 1
+            node_rows = sorted(row_of[v] for v in T[k, 0, :size].tolist())
+            for f in range(X.shape[1]):
+                rows = np.array([row_of[v] for v in T[k, f, :size].tolist()])
+                assert sorted(rows.tolist()) == node_rows
+                order = np.array(node_rows)[np.argsort(X[node_rows, f], kind="stable")]
+                assert rows.tolist() == order.tolist()
+                assert V[k, f, :size].tobytes() == X[rows, f].tobytes()
+                want, valid = ref._child_impurity(y[rows], size, 2, "variance")
+                valid &= V[k, f, 1:size] != V[k, f, : size - 1]
+                got = scores[k, f, : size - 1]
+                assert np.where(valid, want, np.inf).tobytes() == got.tobytes()
+                assert np.all(scores[k, f, size - 1 :] == np.inf)
+    assert nodes > 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    X=tie_heavy_matrix(max_rows=30),
+    data=st.data(),
+    max_depth=st.integers(1, 8),
+    min_leaf=st.integers(1, 3),
+    target=st.sampled_from(["integer", "float", "extreme"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stacked_fit_equals_separate_fits(X, data, max_depth, min_leaf, target, seed):
+    """Ten trees grown in one fit on stacked bootstrap draws, as the
+    surrogate grows them, are the ten trees grown one at a time."""
+    n = len(X)
+    y = draw_targets(data, target, n)
+    rng = np.random.default_rng(seed)
+    idx = np.concatenate([rng.integers(0, n, n) for _ in range(10)])
+    with np.errstate(all="ignore"):
+        stacked = RegressionTree(max_depth, min_leaf).fit(X[idx], y[idx], trees=10)
+        alone = [
+            RegressionTree(max_depth, min_leaf).fit(X[part], y[part])
+            for part in idx.reshape(10, n)
+        ]
+    P = probe_rows(X)
+    preds = stacked.predict(P)
+    assert preds.shape == (10, len(P))
+    for t, tree in enumerate(alone):
+        assert_same_structure(structure(stacked, root=t), structure(tree))
+        assert preds[t].tobytes() == tree.predict(P).tobytes()
+
+
+@pytest.mark.parametrize("cells", [1, 40, _trees._BLOCK_CELLS])
+@pytest.mark.parametrize("kind", ["gini", "entropy", "variance"])
+def test_levels_with_many_nodes_match_the_reference(cells, kind):
+    """Deep levels hold dozens of nodes of many sizes, which blocks pad and
+    whose sums take the many-lengths path."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(400, 3))
+    X[:, 1] = np.round(X[:, 1] * 2)
+    if kind == "variance":
+        y = rng.normal(size=400) * 10.0
+        new_tree, old_tree = RegressionTree(9, 1), ref.RegressionTree(9, 1)
+    else:
+        y = (X[:, 0] + rng.normal(0.0, 1.0, 400) > 0).astype(np.float64)
+        new_tree, old_tree = ClassificationTree(9, 1, kind), ref.ClassificationTree(9, 1, kind)
+    with mock.patch.object(_trees, "_BLOCK_CELLS", cells):
+        new_tree.fit(X, y)
+    old_tree.fit(X, y)
+    assert new_tree.depth == 9 and len(new_tree.feature) > 80
+    assert_same_tree(new_tree, old_tree, X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 300), min_size=1, max_size=40),
+    rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.booleans(),
+)
+def test_pairwise_sums_are_numpys(lengths, rows, seed, special):
+    """The closed form of numpy's pairwise sum, and the few-lengths path,
+    against numpy summing each row alone."""
+    n = np.array(sorted(lengths, reverse=True))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(len(n), rows, n[0])) * 10.0 ** rng.integers(-8, 12, size=(len(n), rows, n[0]))
+    if special:
+        pick = rng.random(A.shape)
+        A[pick < 0.1] = -0.0
+        A[pick > 0.98] = rng.choice([np.inf, -np.inf, np.nan, 1e300])
+    np.copyto(A, 0.0, where=np.arange(n[0]) >= n[:, None, None])
+    want = np.array([[A[k, r, : n[k]].copy().sum() for r in range(rows)] for k in range(len(n))])
+    with np.errstate(all="ignore"):
+        got = _trees._pairwise_sums(A, n)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_single_leaf_tree_predicts_everywhere():
