@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ._linear import NumericOverflow, sigmoid
-from ._trees import RegressionTree
+from ._trees import RegressionTree, _presort, _presort_rows
 from ..tabular import round_half_up
 
 _LEAF_CLIP = 10.0
@@ -20,11 +20,11 @@ class _StageTree(RegressionTree):
     def __init__(self, max_depth):
         super().__init__(max_depth, min_leaf=1)
 
-    def fit(self, X, g, hess):
+    def fit(self, X, g, hess, order=None):
         # hess is needed only while the leaves are set, so it is not kept
         self._hess = hess
         try:
-            return super().fit(X, g)
+            return super().fit(X, g, order=order)
         finally:
             del self._hess
 
@@ -52,6 +52,9 @@ class GradientBoostingModel:
         self.trees = []
         F = np.full(n, self.f0)
         m = max(1, round_half_up(self.subsample * n))
+        # X is sorted once; each stage's presort is that order kept to the
+        # stage's rows, as in XGBoost's exact greedy split finding
+        order = _presort(X, 1)
         for _ in range(self.stages):
             prob = sigmoid(F)
             resid = y - prob
@@ -60,7 +63,9 @@ class GradientBoostingModel:
             else:
                 rows = np.arange(n)
             hess = prob[rows] * (1.0 - prob[rows])
-            tree = _StageTree(self.max_depth).fit(X[rows], resid[rows], hess)
+            tree = _StageTree(self.max_depth).fit(
+                X[rows], resid[rows], hess, _presort_rows(order, rows)
+            )
             F = F + self.learning_rate * tree.predict(X)
             if not np.isfinite(F).all():
                 raise NumericOverflow("boosting scores overflowed")

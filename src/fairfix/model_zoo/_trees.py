@@ -6,13 +6,15 @@ order, then to the first cut. Each feature is sorted once at the root, and
 at every depth a stable regroup by node keeps each node's rows sorted by
 value, equal values in ascending row order. All frontier nodes of a depth
 are scored together as rows of padded (nodes, features, rows) blocks. One
-fit can grow several trees, one per equal block of rows. A fitted tree is a
-set of flat per-node arrays, numbered level by level, that `predict` walks
-one depth at a time.
+fit can grow several trees, one per equal block of rows, or start from a
+presort it is given (a boosting stage keeps its model's to its rows). A
+fitted tree is a set of flat per-node arrays, numbered level by level, that
+`predict` walks one depth at a time.
 
-Sums that decide a split or a leaf value are numpy's own pairwise sums over
-a node's rows in sort order, or a leaf's rows in row order, so a tree is
-the same bit for bit whether grown alone or in a stack.
+Sums that decide a split or a leaf value are numpy's own sums of a node's
+rows in sort order, or a leaf's rows in row order, each taken at that row's
+own length, so a tree is the same bit for bit whether grown alone or in a
+stack.
 """
 
 from __future__ import annotations
@@ -26,13 +28,9 @@ import numpy as np
 _BLOCK_CELLS = 1 << 16
 # padding cells a block may hold beyond its nodes' rows: nodes are taken
 # largest first, each padded to the first, so this keeps a block of small
-# nodes from carrying a large one's width
+# nodes from carrying a large one's width. Deep stage trees fit 1.5-2.5x
+# slower with no padding (each node size alone) or with no bound on it
 _PAD_CELLS = 2048
-# numpy sums at most this many values with its eight-lane loop; longer
-# runs are halved (numpy's pairwise_sum)
-_PW_BLOCK = 128
-# up to this many distinct row lengths, numpy sums each length's rows
-_FEW_LENGTHS = 12
 
 
 def _binary_entropy(p):
@@ -43,50 +41,14 @@ def _binary_entropy(p):
     return out
 
 
-def _pairwise_sums(A, n):
-    """`A[k, :, :n[k]].sum(axis=-1)` for every k, bit for bit.
-
-    A is (c, r, w) and 0 past each row's length, and n is non-increasing.
-    numpy sums a run of up to 128 values in eight lanes over its whole
-    blocks of 8, combines them as ((0+1)+(2+3))+((4+5)+(6+7)) and adds the
-    rest in order, so a run under 8 is all rest, from 0; it halves a longer
-    run (numpy's pairwise_sum). With few distinct lengths numpy sums each
-    length's rows; otherwise runs of up to 128 are summed here that way all
-    at once, and only longer ones by numpy.
-    """
-    c, r, w = A.shape
-    out = np.empty((c, r))
-    firsts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()]
-    short = c if len(firsts) <= _FEW_LENGTHS else int(np.searchsorted(-n, -_PW_BLOCK))
-    for a, b in zip(firsts, [*firsts[1:], c]):
-        if a >= short:
-            break
+def _row_sums(A, n):
+    """`A[k, :, :n[k]].sum(axis=-1)` for every k of a C-contiguous (c, r, w)
+    A, with n non-increasing. numpy sums the rows of each length at that
+    length, so every total is the sum numpy gives for that row alone."""
+    out = np.empty(A.shape[:2])
+    firsts = [0, *((n[1:] != n[:-1]).nonzero()[0] + 1).tolist(), len(n)]
+    for a, b in zip(firsts, firsts[1:]):
         out[a:b] = A[a:b, :, : n[a]].sum(axis=-1)
-    if short == c:
-        return out
-    A, n = A[short:], n[short:]
-    c = len(n)
-    nb = n // 8
-    seq = np.empty((c, r, 8))
-    seq[..., 0] = 0.0
-    blocks = min(w, _PW_BLOCK) // 8
-    if blocks:
-        # blocks past a run's whole ones add 0, which leaves a lane's sum
-        # as it is; numpy sums along a slow axis one block after another
-        whole = np.arange(8 * blocks) < (8 * nb)[:, None, None]
-        lanes = np.where(whole, A[..., : 8 * blocks], 0.0).reshape(c, r, blocks, 8).sum(axis=2)
-        lanes = lanes[..., 0::2] + lanes[..., 1::2]
-        lanes = lanes[..., 0::2] + lanes[..., 1::2]
-        seq[..., 0] = lanes[..., 0] + lanes[..., 1]
-    # the rest, then zeros, added one at a time after the lanes' sum
-    rest = (8 * nb)[:, None, None] + np.arange(7)
-    seq[..., 1:] = np.where(
-        rest < n[:, None, None],
-        A[np.arange(c)[:, None, None], np.arange(r)[:, None], np.minimum(rest, w - 1)],
-        0.0,
-    )
-    # numpy adds a run's sum to the reduction's identity, 0.0
-    out[short:] = np.cumsum(seq, axis=-1)[..., -1] + 0.0
     return out
 
 
@@ -102,8 +64,9 @@ def _cut_scores(V, T, m, min_leaf, criterion):
     w = V.shape[-1]
     ln = np.arange(1.0, w)
     rn = m[:, None, None] - ln
-    # inf past the last valid cut of each node, 0 before it
-    tail = np.where(rn < min_leaf, np.inf, 0.0)
+    if min_leaf > 1:
+        # inf at the last min_leaf - 1 cuts of each node, 0 before them
+        tail = np.where(rn < min_leaf, np.inf, 0.0)
     np.maximum(rn, 1.0, out=rn)  # a dummy right count past a node's rows
     # in-place steps keep the arithmetic of the per-feature expressions
     # il = max(lq/ln - (ls/ln)**2, 0) and scores = (ln*il + rn*ir)/m
@@ -113,8 +76,8 @@ def _cut_scores(V, T, m, min_leaf, criterion):
         TQ = np.empty((len(T), 2 * f, w))
         TQ[:, :f] = T
         np.multiply(T, T, out=TQ[:, f:])
-        left = np.cumsum(TQ[..., :-1], axis=-1)
-        right = _pairwise_sums(TQ, m)[..., None] - left
+        left = TQ[..., :-1].cumsum(axis=-1)
+        right = _row_sums(TQ, m)[..., None] - left
         ls, lq = left[:, :f], left[:, f:]
         rs, rq = right[:, :f], right[:, f:]
         il, ir = lq / ln, rq / rn
@@ -125,8 +88,8 @@ def _cut_scores(V, T, m, min_leaf, criterion):
         np.maximum(il, 0.0, out=il)
         np.maximum(ir, 0.0, out=ir)
     else:
-        lp = np.cumsum(T[..., :-1], axis=-1)
-        rp = _pairwise_sums(T, m)[..., None] - lp
+        lp = T[..., :-1].cumsum(axis=-1)
+        rp = _row_sums(T, m)[..., None] - lp
         pl = lp / ln
         pr = rp / rn
         if criterion == "gini":
@@ -139,11 +102,12 @@ def _cut_scores(V, T, m, min_leaf, criterion):
     ir *= rn
     il += ir
     il /= m[:, None, None]
+    # V repeats a node's last value past its rows, so this also rules out
+    # every cut past the node's last row
     il[V[..., 1:] == V[..., :-1]] = np.inf
-    il[..., : min_leaf - 1] = np.inf
-    # padding adds nothing to a node's sums, so a score past its rows is
-    # finite before this, and inf after
-    il += tail
+    if min_leaf > 1:
+        il[..., : min_leaf - 1] = np.inf
+        il += tail
     return il
 
 
@@ -154,7 +118,7 @@ def _blocks(sizes, features):
     size; a node too wide for one block is scored a group of features at a
     time, in feature order.
     """
-    by_size = np.argsort(-sizes, kind="stable") if len(sizes) > 1 else np.zeros(1, np.intp)
+    by_size = (-sizes).argsort(kind="stable")
     size = sizes[by_size].tolist()
     i = 0
     while i < len(size):
@@ -195,10 +159,7 @@ def _best_splits(X, target, order, starts, sizes, feats, min_leaf, criterion):
     for nodes, f0, f1 in _blocks(sizes, n_feats):
         m = sizes[nodes]
         w = int(m[0])
-        if every:
-            fb = np.broadcast_to(np.arange(f0, f1), (len(nodes), f1 - f0))
-        else:
-            fb = feats[nodes, f0:f1]
+        fb = np.arange(f0, f1)[None] if every else feats[nodes, f0:f1]
         if every and len(nodes) == 1:
             a = int(starts[nodes[0]])
             rows = order[None, f0:f1, a : a + w].astype(np.intp)
@@ -212,45 +173,45 @@ def _best_splits(X, target, order, starts, sizes, feats, min_leaf, criterion):
         if w > m[-1]:
             np.copyto(T, 0.0, where=np.arange(w) >= m[:, None, None])
         scores = _cut_scores(V, T, m, min_leaf, criterion)
-        c = len(nodes)
-        pick = scores.reshape(c, -1).argmin(axis=1)
-        r, i = np.divmod(pick, w - 1)
+        c, f = len(nodes), f1 - f0
         k = np.arange(c)
-        score = scores[k, r, i]
+        pick = scores.reshape(c, -1).argmin(axis=1) + k * (f * (w - 1))
+        score = scores.ravel()[pick]
+        r, i = np.divmod(pick, w - 1)  # r numbers the block's (node, feature) rows
         win = score < best[nodes]  # strict, so an earlier group keeps a tie
         won = nodes[win]
         best[won] = score[win]
-        feature[won] = fb[k[win], r[win]]
-        threshold[won] = (V[k, r, i][win] + V[k, r, i + 1][win]) / 2.0
+        feature[won] = (f0 + r % f if every else fb.ravel()[r])[win]
+        at = r * w + i  # cut i of row r of V
+        threshold[won] = ((V.ravel()[at] + V.ravel()[at + 1]) / 2.0)[win]
     return best, feature, threshold
 
 
 def _presort(X, trees):
     """Each feature's order of X's rows, sorted within each of `trees`
-    equal blocks of rows; equal values keep row order."""
+    equal blocks of rows, equal values in row order; then a last row that
+    lists the rows in ascending order."""
     N, d = X.shape
     n = N // trees
-    order = np.empty((d, N), dtype=np.uint16 if N <= 2**16 else np.intp)
+    order = np.empty((d + 1, N), dtype=np.uint16 if N <= 2**16 else np.int32)
+    order[d] = np.arange(N)
     step = max(1, _BLOCK_CELLS // max(N, 1))
     offsets = (np.arange(trees) * n)[:, None]
     for f in range(0, d, step):
-        cols = X[:, f : f + step].T.reshape(-1, n)
-        # an unstable sort, then rows re-sorted within runs of equal values:
-        # the same order as a stable sort, sooner. NaNs sort last and make
-        # one run
-        key = np.argsort(cols, axis=1)
-        v = np.take_along_axis(cols, key, axis=1)
-        new_run = v[:, 1:] != v[:, :-1]
-        if np.isnan(v[:, -1]).any():
-            new_run &= ~np.isnan(v[:, :-1])
-        if not new_run.all():  # some equal values
-            runs = np.zeros(v.shape, dtype=np.int64)
-            np.cumsum(new_run, axis=1, out=runs[:, 1:])
-            key += runs * n
-            key.sort(axis=1)
-            key %= n
-        order[f : f + step] = (key.reshape(-1, trees, n) + offsets).reshape(-1, N)
+        key = X[:, f : f + step].T.reshape(-1, n).argsort(axis=1, kind="stable")
+        part = order[f : f + len(key) // trees].reshape(-1, trees, n)
+        np.add(key.reshape(part.shape), offsets, out=part, casting="unsafe")
     return order
+
+
+def _presort_rows(order, rows):
+    """`_presort(X[rows], 1)` from X's own presort `order`, for ascending
+    `rows`: each row of `order` keeps the rows taken, in its order, each
+    renumbered to its place in `rows`."""
+    taken = np.zeros(order.shape[1], dtype=bool)
+    taken[rows] = True
+    place = (taken.cumsum() - 1).astype(order.dtype)
+    return place[order[taken[order]].reshape(len(order), len(rows))]
 
 
 def _regroup(order, M, side, lefts, rights):
@@ -293,10 +254,11 @@ class _Tree:
         per array; counts are the leaves' row counts."""
         raise NotImplementedError
 
-    def fit(self, X, target, rng=None, max_features=None, trees=1):
+    def fit(self, X, target, rng=None, max_features=None, trees=1, order=None):
         """Grow `trees` trees, tree t on the t-th of `trees` equal blocks of
         rows of (X, target); `rng` draws `max_features` candidate features
-        at every split node, level by level, left to right."""
+        at every split node, level by level, left to right. `order`, if
+        given, is `_presort(X, trees)`, and the fit overwrites it."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         N, d = X.shape
@@ -305,29 +267,32 @@ class _Tree:
         self.n_features = d
         self.n_trees = trees
         drawn = max_features is not None and max_features < d
-        order = _presort(X, trees)  # each level sorts its first M places
+        # each level's nodes hold the first M places of every row of
+        # `order`, node after node; its last row lists each node's rows in
+        # ascending order
+        if order is None:
+            order = _presort(X, trees)
         M = N
         starts = np.arange(trees) * (N // trees)
         sizes = np.full(trees, N // trees)
-        leaf_of = np.empty(N, dtype=np.intp)
         side = np.empty(N, dtype=np.uint8)  # 0 left, 1 right, 2 in a leaf
         place = np.arange(trees)  # each node's place in its level, left to right
         levels = []
+        leaves = []  # (rows, ids, row counts) of each level's leaves
         base, depth = 0, 0
         while True:
             K = len(starts)
             ids = base + np.arange(K)
-            k = np.repeat(np.arange(K), sizes)  # the node at each place
-            rows = order[0, :M].astype(np.intp)
+            rows = order[d, :M].astype(np.intp)
             feature = np.full(K, -1, dtype=np.intp)
             threshold = np.zeros(K)
             cand = np.empty(0, dtype=np.intp)
             if depth < self.max_depth:
                 t = target[rows]
-                cand = np.flatnonzero(
+                cand = (
                     (sizes >= 2 * self.min_leaf)
                     & (np.minimum.reduceat(t, starts) != np.maximum.reduceat(t, starts))
-                )
+                ).nonzero()[0]
             if cand.size:
                 feats = None
                 if drawn:
@@ -352,48 +317,45 @@ class _Tree:
             left = np.where(split, base + K + child, ids)
             levels.append((feature, threshold, left, np.where(split, left + S, ids)))
             if not S:
-                leaf_of[rows] = ids[k]
+                leaves.append((rows, ids, sizes))
                 break
-            kk = split[k]
+            feature_at = np.repeat(feature, sizes)  # of each place's node
+            kk = feature_at >= 0
             if not kk.all():
-                leaf_of[rows[~kk]] = ids[k[~kk]]
-            x = X.ravel()[rows * d + feature[k]]
-            right = ~(x <= threshold[k]) & kk
+                leaves.append((rows[~kk], ids[~split], sizes[~split]))
+            x = X.ravel()[rows * d + feature_at]
+            right = ~(x <= np.repeat(threshold, sizes)) & kk
+            # each split node's right rows: a leaf's places add none
+            rights = np.add.reduceat(right, starts[cand], dtype=np.intp)
+            sizes = np.concatenate((sizes[cand] - rights, rights))
             base += K
             depth += 1
             if depth == self.max_depth:
                 # the children are leaves
-                leaf_of[rows[kk]] = base + (child[k] + S * right)[kk]
                 ids = base + np.arange(2 * S)
                 levels.append((np.full(2 * S, -1), np.zeros(2 * S), ids, ids))
+                leaves.append((np.concatenate((rows[kk & ~right], rows[right])), ids, sizes))
                 break
             if drawn:
                 rank = np.empty(S, dtype=np.intp)
                 rank[np.argsort(place[cand])] = np.arange(S)
                 place = np.concatenate((2 * rank, 2 * rank + 1))
             side[rows] = np.where(kk, right, 2)
-            rights = np.bincount(k[right], minlength=K)[cand]
-            sizes = np.concatenate((sizes[cand] - rights, rights))
             M = _regroup(order, M, side, int(sizes[:S].sum()), int(rights.sum()))
-            starts = np.cumsum(sizes) - sizes
+            starts = sizes.cumsum() - sizes
         self.depth = depth
         self.feature, self.threshold, self.left, self.right = (
             np.concatenate(a) for a in zip(*levels)
         )
-        self.value = np.zeros(len(self.feature))
-        # each leaf's rows, ascending, leaf after leaf; numpy's stable
-        # argsort of 16-bit keys is a radix sort
-        counts = np.bincount(leaf_of, minlength=len(self.feature))
-        leaves = np.flatnonzero(counts)
-        keys = leaf_of.astype(np.uint16) if len(counts) <= 2**16 else leaf_of
-        by_leaf = np.argsort(keys, kind="stable")
-        counts = counts[leaves]
-        firsts = np.cumsum(counts) - counts
+        # each leaf's rows, ascending, leaf after leaf
+        rows, ids, counts = (np.concatenate(a) for a in zip(*leaves))
+        firsts = counts.cumsum() - counts
 
         def leaf_sums(*arrays):
-            return _run_sums(np.stack([a[by_leaf] for a in arrays]), firsts, counts).T
+            return _run_sums(arrays, rows, firsts, counts)
 
-        self.value[leaves] = self._leaf_values(target, leaf_sums, counts)
+        self.value = np.zeros(len(self.feature))
+        self.value[ids] = self._leaf_values(target, leaf_sums, counts)
         return self
 
     def predict(self, X):
@@ -408,22 +370,22 @@ class _Tree:
         return out[0] if self.n_trees == 1 else out
 
 
-def _run_sums(V, firsts, counts):
-    """numpy's sum of V[i, a:a+m] for each row i and run (a, m) in
-    zip(firsts, counts), as a (runs, rows) array."""
-    out = np.empty((len(counts), len(V)))
-    long = counts > _PW_BLOCK
-    for j in np.flatnonzero(long).tolist():
-        out[j] = V[:, firsts[j] : firsts[j] + counts[j]].sum(axis=-1)
-    short = np.flatnonzero(~long)
-    if short.size:
-        short = short[np.argsort(-counts[short], kind="stable")]
-        m = counts[short]
-        w = np.arange(m[0])
-        place = firsts[short, None] + np.minimum(w, m[:, None] - 1)
-        block = np.stack([v[place] for v in V], axis=1)
-        np.copyto(block, 0.0, where=w >= m[:, None, None])
-        out[short] = _pairwise_sums(block, m)
+def _run_sums(arrays, rows, firsts, counts):
+    """numpy's sum of a[rows[f:f+m]] for each of the 1-D arrays a and run
+    (f, m) in zip(firsts, counts), as an (arrays, runs) array."""
+    # C-contiguous (arrays, rows) and (arrays, runs, m) gathers, so each
+    # run's sum is numpy's pairwise sum, as for its own 1-D slice
+    G = np.array(arrays).take(rows, axis=1)
+    out = np.empty((len(arrays), len(counts)))
+    by_length = {}
+    for j, m in enumerate(counts.tolist()):
+        by_length.setdefault(m, []).append(j)
+    for m, runs in by_length.items():
+        if len(runs) == 1:  # a slice, which costs less than a gather
+            f = firsts[runs[0]]
+            out[:, runs[0]] = G[:, f : f + m].sum(axis=-1)
+        else:
+            out[:, runs] = G.take(firsts[runs, None] + np.arange(m), axis=1).sum(axis=-1)
     return out
 
 

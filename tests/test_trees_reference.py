@@ -246,11 +246,12 @@ def test_a_stacked_fit_equals_separate_fits(X, data, max_depth, min_leaf, target
         assert preds[t].tobytes() == tree.predict(P).tobytes()
 
 
+@pytest.mark.parametrize("pad", [0, _trees._PAD_CELLS, 1 << 30])
 @pytest.mark.parametrize("cells", [1, 40, _trees._BLOCK_CELLS])
 @pytest.mark.parametrize("kind", ["gini", "entropy", "variance"])
-def test_levels_with_many_nodes_match_the_reference(cells, kind):
-    """Deep levels hold dozens of nodes of many sizes, which blocks pad and
-    whose sums take the many-lengths path."""
+def test_levels_with_many_nodes_match_the_reference(cells, pad, kind):
+    """Deep levels hold dozens of nodes of many sizes, which blocks pad (no
+    padding, the default budget, or any) and sum one length at a time."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(400, 3))
     X[:, 1] = np.round(X[:, 1] * 2)
@@ -260,11 +261,58 @@ def test_levels_with_many_nodes_match_the_reference(cells, kind):
     else:
         y = (X[:, 0] + rng.normal(0.0, 1.0, 400) > 0).astype(np.float64)
         new_tree, old_tree = ClassificationTree(9, 1, kind), ref.ClassificationTree(9, 1, kind)
-    with mock.patch.object(_trees, "_BLOCK_CELLS", cells):
+    with mock.patch.object(_trees, "_BLOCK_CELLS", cells), mock.patch.object(
+        _trees, "_PAD_CELLS", pad
+    ):
         new_tree.fit(X, y)
     old_tree.fit(X, y)
     assert new_tree.depth == 9 and len(new_tree.feature) > 80
     assert_same_tree(new_tree, old_tree, X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 4),
+    trees=st.integers(1, 3),
+    levels=st.sampled_from([2, 5, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_presort_is_a_stable_sort(rows, cols, trees, levels, seed):
+    """Each feature's rows sorted within each tree's block, ties (including
+    -0.0 against 0.0, and NaNs) in row order, then the rows ascending."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(rows * trees, cols)).astype(np.float64)
+    X[rng.random(X.shape) < 0.1] = np.nan
+    X[X == 0.0] = rng.choice([0.0, -0.0], size=int((X == 0.0).sum()))
+    order = _trees._presort(X, trees)
+    blocks = X.reshape(trees, rows, cols)
+    want = [
+        np.concatenate([t * rows + np.argsort(blocks[t, :, f], kind="stable") for t in range(trees)])
+        for f in range(cols)
+    ]
+    assert order.tolist() == [w.tolist() for w in want] + [list(range(rows * trees))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 80),
+    cols=st.integers(1, 4),
+    share=st.floats(0.0, 1.0),
+    levels=st.sampled_from([2, 5, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_presort_rows_is_the_presort_of_the_rows(rows, cols, share, levels, seed):
+    """A boosting stage's presort, kept from the whole matrix's, equals
+    sorting the stage's own rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(rows, cols)).astype(np.float64)
+    X[rng.random(X.shape) < 0.1] = np.nan
+    taken = np.flatnonzero(rng.random(rows) < share)
+    if not taken.size:
+        taken = np.array([rows - 1])
+    got = _trees._presort_rows(_trees._presort(X, 1), taken)
+    assert got.tolist() == _trees._presort(X[taken], 1).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,9 +322,9 @@ def test_levels_with_many_nodes_match_the_reference(cells, kind):
     seed=st.integers(0, 2**32 - 1),
     special=st.booleans(),
 )
-def test_pairwise_sums_are_numpys(lengths, rows, seed, special):
-    """The closed form of numpy's pairwise sum, and the few-lengths path,
-    against numpy summing each row alone."""
+def test_row_sums_are_numpys(lengths, rows, seed, special):
+    """Sums of a padded block's rows at their own lengths, against numpy
+    summing each row alone."""
     n = np.array(sorted(lengths, reverse=True))
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(len(n), rows, n[0])) * 10.0 ** rng.integers(-8, 12, size=(len(n), rows, n[0]))
@@ -287,7 +335,26 @@ def test_pairwise_sums_are_numpys(lengths, rows, seed, special):
     np.copyto(A, 0.0, where=np.arange(n[0]) >= n[:, None, None])
     want = np.array([[A[k, r, : n[k]].copy().sum() for r in range(rows)] for k in range(len(n))])
     with np.errstate(all="ignore"):
-        got = _trees._pairwise_sums(A, n)
+        got = _trees._row_sums(A, n)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 300), min_size=1, max_size=40),
+    arrays=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_sums_are_numpys(counts, arrays, seed):
+    """Leaf sums over runs of a row order, against numpy summing each
+    leaf's rows alone."""
+    counts = np.array(counts)
+    firsts = np.cumsum(counts) - counts
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(int(counts.sum()))
+    vals = [rng.normal(size=len(rows)) * 10.0 ** rng.integers(-8, 12, size=len(rows)) for _ in range(arrays)]
+    want = np.array([[v[rows[f : f + m]].sum() for f, m in zip(firsts, counts)] for v in vals])
+    got = _trees._run_sums(vals, rows, firsts, counts)
     assert got.tobytes() == want.tobytes()
 
 
