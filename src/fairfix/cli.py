@@ -246,6 +246,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ended
 
 
 if __name__ == "__main__":

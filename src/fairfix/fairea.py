@@ -17,7 +17,15 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import MetricKind, accuracy, bias_value
+from .metrics import (
+    GroupCounts,
+    MetricKind,
+    accuracy,
+    bias_score,
+    bias_value,
+    raw_metric,
+    stacked_counts,
+)
 from .model_zoo import FittedPipeline, predict
 from .tabular import DataError, FeatureMatrix, round_half_up
 
@@ -160,12 +168,16 @@ def build_baseline(
             # sampled, so the endpoint is exact
             points.append((degree, TradeoffPoint(0.0, a0)))
             continue
-        accs = []
-        biases = []
-        for _ in range(repetitions):
-            mutated = mutate_predictions(yhat, degree, fp.train_majority, rng)
-            accs.append(accuracy(y, mutated))
-            biases.append(bias_value(kind, y, mutated, val.z))
+        # one row per repetition, drawn in order and scored in order, so an
+        # undefined metric raises at the repetition where bias_value would
+        mutated = np.empty((repetitions, len(yhat)), dtype=np.int8)
+        for r in range(repetitions):
+            mutated[r] = mutate_predictions(yhat, degree, fp.train_majority, rng)
+        cells = stacked_counts(y, mutated, val.z)
+        biases = [bias_score(kind, raw_metric(kind, GroupCounts(c))) for c in cells]
+        # a row's matches are its y == yhat cells, so accs[r] is accuracy(y, row r)
+        matches = cells[:, :, (0, 1), (0, 1)].sum(axis=(1, 2))
+        accs = [m / len(y) for m in matches.tolist()]
         points.append(
             (
                 degree,

@@ -55,29 +55,34 @@ class GroupCounts:
             raise ValueError("cells must be (2,2,2)")
         if self.cells.min() < 0:
             raise ValueError("negative count")
+        self.cells.flags.writeable = False
+        # the counts as Python ints: the rates add and divide eight small
+        # numbers, where a numpy reduction per sum costs more than the sum
+        object.__setattr__(self, "_n", self.cells.tolist())
         for g in (0, 1):
             if self.group_total(g) == 0:
                 raise ValueError(f"group z={g} is empty")
-        self.cells.flags.writeable = False
 
     def group_total(self, z: int) -> int:
-        return int(self.cells[z].sum())
+        (a, b), (c, d) = self._n[z]
+        return a + b + c + d
 
     def rate(self, z: int) -> float:
         """Pr[yhat=1 | z]."""
-        return int(self.cells[z, :, 1].sum()) / self.group_total(z)
+        (_, a), (_, b) = self._n[z]
+        return (a + b) / self.group_total(z)
 
     def tpr(self, z: int) -> float:
-        pos = int(self.cells[z, 1, :].sum())
-        if pos == 0:
+        fn, tp = self._n[z][1]
+        if fn + tp == 0:
             raise UndefinedRate(f"no positive labels in group z={z}")
-        return int(self.cells[z, 1, 1]) / pos
+        return tp / (fn + tp)
 
     def fpr(self, z: int) -> float:
-        neg = int(self.cells[z, 0, :].sum())
-        if neg == 0:
+        tn, fp = self._n[z][0]
+        if tn + fp == 0:
             raise UndefinedRate(f"no negative labels in group z={z}")
-        return int(self.cells[z, 0, 1]) / neg
+        return fp / (tn + fp)
 
 
 def _as_binary(v, name: str) -> np.ndarray:
@@ -107,8 +112,17 @@ def group_counts(y, yhat, z) -> GroupCounts:
     z = _as_binary(z, "z")
     if not (len(y) == len(yhat) == len(z)) or len(y) == 0:
         raise LengthMismatch("y, yhat, z must share a positive length")
-    cells = np.bincount(4 * z + 2 * y + yhat, minlength=8).reshape(2, 2, 2)
-    return GroupCounts(cells)
+    return GroupCounts(stacked_counts(y, yhat[None, :], z)[0])
+
+
+def stacked_counts(y, yhats: np.ndarray, z) -> np.ndarray:
+    """The (z, y, yhat) count table of each row of `yhats`, a 2-d 0/1
+    integer array, as a (rows, 2, 2, 2) array: row r holds the cells of
+    group_counts(y, yhats[r], z). Nothing is checked; the codes are counted
+    a row at a time in the rows' own dtype, so no (rows, n) intp copy is made."""
+    base = 4 * z + 2 * y
+    counts = [np.bincount(base + row, minlength=8) for row in yhats]
+    return np.array(counts).reshape(-1, 2, 2, 2)
 
 
 def raw_metric(kind: MetricKind, c: GroupCounts):

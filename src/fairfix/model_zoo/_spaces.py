@@ -5,6 +5,7 @@ surrogate reads rows, and `decode_config` turns a row into a config."""
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -45,8 +46,9 @@ class ParamDef:
     """One hyperparameter: categorical, integer range, or real range.
 
     The one owner of range arithmetic: random draws (`draw`), coordinates
-    (`encode`/`decode`) and pruning (`narrowed`). Declared spaces always
-    have lo < hi; a narrowed param may be pinned to a single point (lo == hi).
+    (`encode`/`decode`, and `snap` over an array) and pruning (`narrowed`).
+    Declared spaces always have lo < hi; a narrowed param may be pinned to a
+    single point (lo == hi).
     """
 
     name: str
@@ -101,6 +103,37 @@ class ParamDef:
         if self.kind == "int":
             return int(min(max(round_half_up(v), int(self.lo)), int(self.hi)))
         return float(min(max(v, self.lo), self.hi))
+
+    def snap(self, x: np.ndarray) -> np.ndarray:
+        """encode(decode(c)) for each coordinate c of the float array x, bit
+        for bit: numpy does the same IEEE operations as the scalar path,
+        except that log and exp stay math's, whose last bit numpy's can miss."""
+        if self.kind == "cat":
+            return np.clip(np.floor(x + 0.5), 0, len(self.values) - 1)
+        origin, span = self._axis
+        if not span:
+            return np.zeros_like(x)
+        v = origin + x * span
+        if self.scale == "log":
+            v = np.array([math.exp(t) for t in v.tolist()])
+        if self.kind == "int":
+            lo = int(self.lo)
+            k = np.clip(np.floor(v + 0.5), lo, int(self.hi))
+            if self.scale == "log":
+                return (self._log_table[k.astype(np.intp) - lo] - origin) / span
+            return (k - origin) / span
+        # max(v, lo) keeps v unless lo is greater, min(m, hi) keeps m unless
+        # hi is smaller; np.where says so for signed zeros too
+        v = np.where(self.lo > v, self.lo, v)
+        v = np.where(self.hi < v, self.hi, v)
+        if self.scale == "log":
+            v = np.array([math.log(t) for t in v.tolist()])
+        return (v - origin) / span
+
+    @functools.cached_property
+    def _log_table(self) -> np.ndarray:
+        """math.log(k) for each integer k of an integer log range."""
+        return np.array([math.log(k) for k in range(int(self.lo), int(self.hi) + 1)])
 
     def draw(self, rng: np.random.Generator) -> float:
         """A random coordinate: a categorical index, or the uniform in [0, 1)

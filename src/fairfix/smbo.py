@@ -142,7 +142,7 @@ def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
     drawn = np.array([sample(space, rng) for _ in range(CANDIDATES)])
     C = drawn.copy()  # each param column snapped to its config's coordinate
     for j, p in enumerate(space.params, 1):
-        C[:, j] = [p.encode(p.decode(x)) for x in drawn[:, j].tolist()]
+        C[:, j] = p.snap(drawn[:, j])
     preds = ensemble.predict(C)  # (trees, candidates)
     ei = _expected_improvement(incumbent, preds.mean(axis=0), preds.std(axis=0))
     return decode_config(drawn[int(np.argmax(ei))].tolist(), space), "surrogate"

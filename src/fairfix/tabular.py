@@ -188,9 +188,9 @@ class Dataset:
         h.update(repr(self.feature_names).encode())
         h.update(self.y.tobytes())
         h.update(self.z.tobytes())
-        for row in self.cells:
-            h.update("\x1f".join(row).encode())
-            h.update(b"\x1e")
+        # each row's cells joined by 0x1f and ended by 0x1e
+        rows = "".join("\x1f".join(row) + "\x1e" for row in self.cells.tolist())
+        h.update(rows.encode())
         return h.hexdigest()[:16]
 
 
@@ -312,33 +312,29 @@ class Encoder:
                 kinds.append("numeric")
             else:
                 kinds.append("categorical")
-                seen = {}
-                for c in col:
-                    seen.setdefault(c, None)
-                categories[name] = tuple(seen)
+                categories[name] = tuple(dict.fromkeys(col))
         return cls(ds.feature_names, tuple(kinds), categories)
 
     def transform(self, ds: Dataset) -> np.ndarray:
         if ds.feature_names != self.feature_names:
             raise ValueError("dataset features do not match encoder")
-        blocks = []
+        widths = [
+            1 if kind == "numeric" else len(self.categories[name])
+            for name, kind in zip(self.feature_names, self.kinds)
+        ]
+        out = np.zeros((len(ds.y), sum(widths)))
+        at = 0
         for j, (name, kind) in enumerate(zip(self.feature_names, self.kinds)):
             col = ds.cells[:, j]
             if kind == "numeric":
-                vals = np.array(
-                    [v if (v := _parse_numeric(c)) is not None else 0.0 for c in col]
-                )
-                blocks.append(vals[:, None])
+                out[:, at] = [v if (v := _parse_numeric(c)) is not None else 0.0 for c in col]
             else:
-                cats = self.categories[name]
-                index = {v: k for k, v in enumerate(cats)}
-                block = np.zeros((len(col), len(cats)))
-                for i, c in enumerate(col):
-                    k = index.get(c)
-                    if k is not None:
-                        block[i, k] = 1.0
-                blocks.append(block)
-        return np.hstack(blocks)
+                index = {v: k for k, v in enumerate(self.categories[name])}
+                codes = np.array([index.get(c, -1) for c in col], dtype=np.intp)
+                seen = np.flatnonzero(codes >= 0)  # an unseen category stays all zero
+                out[seen, at + codes[seen]] = 1.0
+            at += widths[j]
+        return out
 
 
 @dataclass(frozen=True)

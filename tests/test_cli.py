@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairfix import cli
 from fairfix.cli import build_parser, main
 from fairfix.fairea import TradeoffBaseline
 from fairfix.prune_db import BuildConfig, load as load_db
@@ -586,6 +587,21 @@ def test_already_fair_input_exits_4(tmp_path, capsys):
     ])
     assert code == 4
     assert "already fair" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_ctrl_c_exits_130_without_a_traceback(corpus, tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "repair", interrupted)
+    code = main([
+        "repair", "--data", str(corpus / "data.csv"),
+        "--schema", str(corpus / "schema.json"),
+        "--model", "dtree", "--metric", "spd", "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
     assert not (tmp_path / "r.json").exists()
 
 

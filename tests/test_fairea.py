@@ -1,5 +1,6 @@
 """Mutation baseline construction and region classification."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_fairea as ref
+from fairfix import fairea, metrics
 from fairfix.fairea import (
     DEFAULT_DEGREES,
     TradeoffBaseline,
@@ -16,11 +19,11 @@ from fairfix.fairea import (
     classify_region,
     mutate_predictions,
 )
-from fairfix.metrics import MetricKind
+from fairfix.metrics import GroupCounts, MetricKind, NonPositiveDI, UndefinedRate
 from fairfix.model_zoo import AlgorithmKind, default_config, train
 from fairfix.tabular import encode
 
-from test_model_zoo import random_ds
+from test_model_zoo import float_ds, random_ds
 
 
 def two_point_baseline(orig=(0.10, 0.85), end_acc=0.70):
@@ -127,6 +130,90 @@ def test_baseline_json_round_trip_is_equal():
     fp = fit_default(fm)
     b = build_baseline(fp, fm, MetricKind.SPD, repetitions=5, seed=4)
     assert TradeoffBaseline.from_json(b.to_json()) == b
+
+
+# ---------------------------------------------------------------------------
+# stacked baseline against the per-mutation loop
+
+
+class FixedPredictions:
+    """A stand-in classifier that predicts the same labels for any matrix."""
+
+    def __init__(self, yhat):
+        self.yhat = np.asarray(yhat, dtype=np.int8)
+
+    def predict(self, X):
+        return self.yhat
+
+
+def scored(monkeypatch, build, *args):
+    """What one baseline build ends with, its JSON or the type and message
+    of what it raised, how many count tables it scored on the way, and
+    those tables."""
+    tables = []
+
+    def counted(cells):
+        tables.append(cells)
+        return GroupCounts(cells)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(metrics, "GroupCounts", counted)
+        mp.setattr(fairea, "GroupCounts", counted)
+        try:
+            end = build(*args).to_json()
+        except (NonPositiveDI, UndefinedRate) as exc:
+            end = (type(exc), str(exc))
+    return end, len(tables), tables
+
+
+@pytest.mark.parametrize("repetitions", [1, 7, 50])
+@pytest.mark.parametrize("replacement", [0, 1])
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_baseline_equals_the_per_mutation_loop(monkeypatch, kind, replacement, repetitions):
+    fm = encode(random_ds(150, 3, seed=31))
+    fp = dataclasses.replace(fit_default(fm), train_majority=replacement)
+    got = scored(monkeypatch, build_baseline, fp, fm, kind, repetitions, 5)
+    want = scored(monkeypatch, ref.build_baseline, fp, fm, kind, repetitions, 5)
+    assert got[:2] == want[:2]
+
+
+def fixed_case(y, z):
+    """A pipeline that predicts 1 for all of `y`'s rows and mutates to 0."""
+    fm = encode(float_ds(np.arange(len(y), dtype=float)[:, None], y, z))
+    fp = fit_default(fm)
+    fp = dataclasses.replace(fp, model=FixedPredictions([1] * len(y)), train_majority=0)
+    return fp, fm
+
+
+# 40 rows, 37 in one group and 3 in the other, all predicted 1. Degree 0.9
+# overwrites 36 positions with 0, so it can empty the small group's positive
+# predictions, never the large group's.
+SMALL_Z1 = [0] * 37 + [1] * 3
+SMALL_Z0 = [1] * 37 + [0] * 3
+MIXED = [0, 1] * 20
+
+
+@pytest.mark.parametrize(
+    "kind, y, z, raised",
+    [
+        # rate(z=1) reaches 0 while rate(z=0) stays > 0: the DI sentinel
+        (MetricKind.DI, MIXED, SMALL_Z1, None),
+        # rate(z=0) reaches 0 while rate(z=1) stays > 0: log of a zero ratio
+        (MetricKind.DI, MIXED, SMALL_Z0, NonPositiveDI),
+        # no positive label in z=1 leaves its TPR undefined
+        (MetricKind.EOD, MIXED[:37] + [0] * 3, SMALL_Z1, UndefinedRate),
+    ],
+)
+def test_baseline_edge_cases_match_the_loop(monkeypatch, kind, y, z, raised):
+    fp, fm = fixed_case(y, z)
+    got = scored(monkeypatch, build_baseline, fp, fm, kind, 50, 2)
+    want = scored(monkeypatch, ref.build_baseline, fp, fm, kind, 50, 2)
+    assert got[:2] == want[:2]
+    end, _, tables = got
+    if raised is None:
+        assert any(t[1, :, 1].sum() == 0 for t in tables)  # the sentinel was hit
+    else:
+        assert end[0] is raised
 
 
 # ---------------------------------------------------------------------------

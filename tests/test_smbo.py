@@ -418,6 +418,42 @@ def test_snapped_candidates_are_the_encoded_configs(space, seed):
     assert C.dtype == want.dtype and C.tobytes() == want.tobytes()
 
 
+@st.composite
+def param_defs(draw):
+    """A param of any kind and scale, over any range, often pinned."""
+    kind = draw(st.sampled_from(["cat", "int", "real"]))
+    if kind == "cat":
+        return ParamDef("p", "cat", values=tuple(range(draw(st.integers(1, 6)))))
+    scale = draw(st.sampled_from(["linear", "log"]))
+    if kind == "int":
+        # int(lo) >= 1 on a log range, or log(0) is in it
+        low = 1 if scale == "log" else -300
+        bound = st.integers(low, 400) | st.floats(low, 400.0)
+    else:
+        bound = st.floats(1e-9, 1e6) if scale == "log" else st.floats(-1e6, 1e6)
+    lo, hi = sorted((draw(bound), draw(bound)))
+    if draw(st.booleans()):
+        hi = lo
+    return ParamDef("p", kind, lo, hi, scale)
+
+
+params = param_defs() | pruned_spaces().flatmap(lambda s: st.sampled_from(s.params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=params,
+    coords=st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0]), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_snap_is_the_scalar_encode_of_the_decode(p, coords, seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([coords, [p.draw(rng) for _ in range(20)]])
+    want = np.array([p.encode(p.decode(c)) for c in x.tolist()])
+    got = p.snap(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_every_draw_is_a_sample_and_each_trial_decodes_once(monkeypatch):
     draws = spy(monkeypatch, smbo, "sample")
     decodes = spy(monkeypatch, smbo, "decode_config")

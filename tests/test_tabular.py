@@ -1,5 +1,6 @@
 """CSV ingestion, encoding, characteristics, and split tests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -245,3 +246,47 @@ def test_categorical_override_forces_one_hot(tmp_path):
     ds = load_csv(write_toy(tmp_path, text), schema)
     fm = encode(ds)
     assert fm.encoder.categories == {"a": ("1", "2")}
+
+
+def mixed_split():
+    """A 300-row train split and a 100-row val split with numeric, one-hot
+    and forced one-hot columns. Val holds categories train never saw, and
+    numeric cells that do not parse or are not finite."""
+    rng = np.random.default_rng(5)
+
+    def side(n, cities, bad):
+        age = [repr(round(float(v), 3)) for v in rng.normal(40, 12, n)]
+        age[: len(bad)] = bad
+        cols = [
+            age,
+            [str(int(v)) for v in rng.integers(10, 60, n)],
+            [cities[int(i)] for i in rng.integers(0, len(cities), n)],
+            [str(int(v)) for v in rng.integers(1, 4, n)],
+            [f"job{int(v)}" for v in rng.integers(0, 20 if bad else 15, n)],
+        ]
+        return Dataset(
+            ("age", "hours", "city", "grade", "job"),
+            np.array(cols, dtype=object).T,
+            rng.integers(0, 2, n),
+            rng.integers(0, 2, n),
+            {"source": "mixed"},
+            categorical_override=("grade",),
+        )
+
+    train = side(300, ("york", "leeds", "hull"), [])
+    val = side(100, ("york", "leeds", "hull", "bath"), ["n/a", "inf", "-nan", ""])
+    return train, val
+
+
+def test_digests_and_encoded_bytes_are_pinned():
+    # values taken before the encoder filled one preallocated matrix
+    train, val = mixed_split()
+    fm = encode(train)
+    out = fm.encoder.transform(val)
+    assert fm.encoder.kinds == ("numeric", "numeric", "categorical", "categorical", "categorical")
+    assert fm.values.shape == (300, 23) and out.shape == (100, 23)
+    assert fm.values.dtype == out.dtype == np.float64
+    assert fm.values.flags.c_contiguous and out.flags.c_contiguous
+    sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()[:16]  # noqa: E731
+    assert (train.digest(), val.digest()) == ("306df09a24e15056", "864ec3e83b9d6a1f")
+    assert (sha(fm.values), sha(out)) == ("d272656e105e9866", "8a891d562b5b32be")
