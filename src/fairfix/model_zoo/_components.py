@@ -25,7 +25,9 @@ class FittedComponent:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Inference-time transform; row count is always preserved."""
         if self.kind in (ComponentKind.STANDARDIZE, ComponentKind.MINMAX):
-            return (X - self.shift) / self.scale
+            out = X - self.shift
+            out /= self.scale  # in place: one full-size array, not two
+            return out
         if self.kind is ComponentKind.VARIANCE_TOPK:
             return X[:, self.keep]
         return X  # NONE and REBALANCE

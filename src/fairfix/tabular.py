@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -199,25 +200,14 @@ class DataCharacteristics(NamedTuple):
     f: int  # retained features, before one-hot expansion
 
 
-def load_csv(path, schema: Schema) -> Dataset:
-    """Load an RFC-4180 CSV with header; rows with missing cells are dropped."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [[c.strip() for c in row] for row in reader if row]
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"{path} is not a UTF-8 CSV file: {e}") from None
-    if header is None:
-        raise EmptyAfterCleaning(f"{path} is empty")
-    header = [h.strip() for h in header]
+def _columns(header: list, schema: Schema, path):
+    """Indices of the kept feature columns, the label column and the
+    protected column in a stripped header."""
     if len(set(header)) != len(header):  # columns are looked up by name
         raise DataError(f"{path} repeats a column name in its header")
-
     for col in (schema.label, schema.protected, *schema.drop, *schema.categorical):
         if col not in header:
             raise MissingColumn(col)
-
     keep = [
         i
         for i, name in enumerate(header)
@@ -225,32 +215,50 @@ def load_csv(path, schema: Schema) -> Dataset:
     ]
     if not keep:
         raise EmptyAfterCleaning("no feature columns retained by schema")
-    li = header.index(schema.label)
-    zi = header.index(schema.protected)
+    return keep, header.index(schema.label), header.index(schema.protected)
 
-    kept_rows, y, z = [], [], []
-    dropped = 0
-    needed = keep + [li, zi]
-    for row in rows:
-        if len(row) != len(header) or any(row[i] == "" for i in needed):
-            dropped += 1
-            continue
-        kept_rows.append([row[i] for i in keep])
-        y.append(1 if row[li] == schema.favorable else 0)
-        z.append(0 if row[zi] == schema.unprivileged else 1)
+
+def load_csv(path, schema: Schema) -> Dataset:
+    """Load an RFC-4180 CSV with header; rows with missing cells are dropped.
+
+    One pass over the file keeps only the cells it needs. Equal cells share
+    one `str` object, so a column of few distinct values costs one pointer
+    a row."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyAfterCleaning(f"{path} is empty")
+            header = [h.strip() for h in header]
+            keep, li, zi = _columns(header, schema, path)
+            pick = operator.itemgetter(li, zi, *keep)
+            intern = {}.setdefault
+            width = len(header)
+            cells, y, z = [], [], []
+            dropped = 0
+            for row in reader:
+                if not row:  # a blank line is not a row
+                    continue
+                if len(row) == width:
+                    label, group, *feats = map(str.strip, pick(row))
+                    if label and group and "" not in feats:
+                        cells += map(intern, feats, feats)
+                        y.append(label == schema.favorable)
+                        z.append(group != schema.unprivileged)
+                        continue
+                dropped += 1
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path} is not a UTF-8 CSV file: {e}") from None
     if dropped:
         log.info("dropped %d incomplete rows from %s", dropped, path)
-    if not kept_rows:
+    if not y:
         raise EmptyAfterCleaning(f"no usable rows in {path}")
-
-    cells = np.empty((len(kept_rows), len(keep)), dtype=object)
-    for i, row in enumerate(kept_rows):
-        cells[i] = row
     return Dataset(
         feature_names=tuple(header[i] for i in keep),
-        cells=cells,
-        y=np.array(y),
-        z=np.array(z),
+        cells=np.array(cells, dtype=object).reshape(len(y), len(keep)),
+        y=np.array(y, dtype=np.int8),
+        z=np.array(z, dtype=np.int8),
         provenance={"source": str(path), "dropped_rows": dropped},
         categorical_override=frozenset(schema.categorical),
     )
@@ -289,35 +297,85 @@ def _parse_numeric(cell: str):
     return v if math.isfinite(v) else None
 
 
+def _floats(col: np.ndarray):
+    """float() of every cell of an object column, or None when a cell does
+    not parse. numpy converts each cell as float() does, bit for bit."""
+    try:
+        return col.astype(np.float64)
+    except ValueError:
+        return None
+
+
+def _numbers(col: np.ndarray) -> np.ndarray:
+    """Each cell of an object column as a float, 0.0 where it does not
+    parse to a finite number."""
+    values = _floats(col)
+    if values is None:  # a cell that float() rejects
+        return np.array([v if (v := _parse_numeric(c)) is not None else 0.0 for c in col])
+    values[~np.isfinite(values)] = 0.0
+    return values
+
+
+def _reject_stray_cells(name: str, col: np.ndarray, distinct: dict) -> None:
+    """DataError when more than half of a column's cells parse to finite
+    numbers but not all do. One stray cell would otherwise make the column
+    categorical, one one-hot column per distinct number."""
+    bad = [c for c in distinct if _parse_numeric(c) is None]
+    if len(bad) == len(distinct):
+        return
+    stray = set(bad)
+    numbers = sum(c not in stray for c in col.tolist())
+    if 2 * numbers > len(col):
+        raise DataError(
+            f"column {name!r} is numeric in {numbers} of {len(col)} training"
+            f" rows but holds {bad[0]!r}; list it under 'drop' or 'categorical'"
+            " in the schema"
+        )
+
+
 @dataclass
 class Encoder:
     """Column encodings fitted on the training split.
 
     Numeric columns pass through; categorical columns one-hot in
     first-appearance order. Unseen categories become an all-zero block and
-    unparseable numeric cells become 0.0.
+    unparseable numeric cells become 0.0. A column whose training cells are
+    mostly, but not all, finite numbers raises DataError.
     """
 
     feature_names: tuple
     kinds: tuple  # "numeric" | "categorical" per feature
     categories: dict  # name -> tuple of values, first-appearance order
+    # the fitted split's cells and its numeric columns' floats, which the
+    # first transform of that split takes, so each cell is parsed once
+    _parsed: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fit(cls, ds: Dataset) -> "Encoder":
-        kinds, categories = [], {}
+        kinds, categories, parsed = [], {}, {}
         for j, name in enumerate(ds.feature_names):
             col = ds.cells[:, j]
             forced = name in ds.categorical_override
-            if not forced and all(_parse_numeric(c) is not None for c in col):
+            values = None if forced else _floats(col)
+            if values is not None and np.isfinite(values).all():
                 kinds.append("numeric")
-            else:
-                kinds.append("categorical")
-                categories[name] = tuple(dict.fromkeys(col))
-        return cls(ds.feature_names, tuple(kinds), categories)
+                parsed[j] = values
+                continue
+            kinds.append("categorical")
+            distinct = dict.fromkeys(col.tolist())
+            if not forced:
+                _reject_stray_cells(name, col, distinct)
+            categories[name] = tuple(distinct)
+        enc = cls(ds.feature_names, tuple(kinds), categories)
+        enc._parsed = (ds.cells, parsed)
+        return enc
 
     def transform(self, ds: Dataset) -> np.ndarray:
         if ds.feature_names != self.feature_names:
             raise ValueError("dataset features do not match encoder")
+        parsed = {}
+        if self._parsed is not None and self._parsed[0] is ds.cells:
+            parsed, self._parsed = self._parsed[1], None
         widths = [
             1 if kind == "numeric" else len(self.categories[name])
             for name, kind in zip(self.feature_names, self.kinds)
@@ -327,10 +385,10 @@ class Encoder:
         for j, (name, kind) in enumerate(zip(self.feature_names, self.kinds)):
             col = ds.cells[:, j]
             if kind == "numeric":
-                out[:, at] = [v if (v := _parse_numeric(c)) is not None else 0.0 for c in col]
+                out[:, at] = parsed[j] if j in parsed else _numbers(col)
             else:
                 index = {v: k for k, v in enumerate(self.categories[name])}
-                codes = np.array([index.get(c, -1) for c in col], dtype=np.intp)
+                codes = np.array([index.get(c, -1) for c in col.tolist()], dtype=np.intp)
                 seen = np.flatnonzero(codes >= 0)  # an unseen category stays all zero
                 out[seen, at + codes[seen]] = 1.0
             at += widths[j]

@@ -307,6 +307,53 @@ def test_bad_schema_or_csv_file_exits_3(tmp_path, capsys, name, contents):
     assert not out.exists()
 
 
+def malformed_csvs(header: str, rows: list) -> dict:
+    """The fixture CSV, `header` and `rows`, broken in each way, by name."""
+
+    def text(lines):
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    group0 = [r for r in rows if r.split(",")[2] == "0"]
+    return {
+        "empty": b"",
+        "header-only": text([header]),
+        "every-row-incomplete": text([header] + [r.rsplit(",", 1)[0] + "," for r in rows]),
+        "ragged-rows": text([header] + [r + ",9" if i % 7 == 0 else r for i, r in enumerate(rows)]),
+        "field-over-csv-limit": text([header, "1," + "9" * 131_073 + ",0,1", *rows]),
+        "header-not-utf8": b"x1,x\xff2,group,outcome\n" + text(rows),
+        "bom": b"\xef\xbb\xbf" + text([header] + rows),
+        "cr-line-ends": text([header] + rows).replace(b"\n", b"\r"),
+        # one unprivileged row: no split puts the group on both sides
+        "one-row-per-group": text([header, group0[0]] + [r for r in rows if r not in group0]),
+        # row 0 falls in the train split at seed 0
+        "stray-na": text([header, "NA," + rows[0].split(",", 1)[1], *rows[1:]]),
+    }
+
+
+@pytest.mark.parametrize("name, code", [
+    ("empty", 3), ("header-only", 3), ("every-row-incomplete", 3), ("ragged-rows", 0),
+    ("field-over-csv-limit", 3), ("header-not-utf8", 3), ("bom", 0), ("cr-line-ends", 0),
+    ("one-row-per-group", 3), ("stray-na", 3),
+])
+def test_malformed_csv_exits_with_its_documented_code(tmp_path, name, code):
+    write_fixture(tmp_path, rows=300)
+    header, *rows = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "data.csv").write_bytes(malformed_csvs(header, rows)[name])
+    out = tmp_path / "r.json"
+    got, err = run_quietly([
+        "repair", "--data", str(tmp_path / "data.csv"),
+        "--schema", str(tmp_path / "schema.json"),
+        "--model", "dtree", "--metric", "spd", "--trials", "3", "--out", str(out),
+    ])
+    assert got == code, err
+    assert "Traceback" not in err
+    assert out.exists() == (code == 0)
+    if code == 3:
+        assert err.startswith("data error:")
+    if name == "stray-na":
+        assert "column 'x1'" in err and "'NA'" in err
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda report, baseline: ({k: report[k] for k in report if k != "repaired"}, baseline),
     lambda report, baseline: ([report], baseline),

@@ -441,3 +441,21 @@ def test_standardize_and_minmax_fit_train_only():
     # validation transformed with training statistics
     out = fc2.apply(np.array([[5.0, 1.0]]))
     assert out.tolist() == [[0.5, 0.0]]
+
+
+@pytest.mark.parametrize("kind", [ComponentKind.STANDARDIZE, ComponentKind.MINMAX])
+def test_affine_apply_bytes_equal_the_two_temporary_expression(kind):
+    rng = np.random.default_rng(3)
+    X = rng.normal(0, 1e3, (200, 6))
+    X[:, 5] = 7.0  # zero spread: scale 1.0
+    fc, X_train, _ = fit_component(kind, X, np.zeros(200), f_pre=6)
+    assert X_train.tobytes() == ((X - fc.shift) / fc.scale).tobytes()
+    V = rng.normal(0, 1e3, (50, 6))
+    V[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+    V[1, :2] = [1e308, -1e308]
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = fc.apply(V)
+        expected = (V - fc.shift) / fc.scale
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tobytes() == expected.tobytes()
+    assert not np.shares_memory(out, V)

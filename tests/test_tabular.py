@@ -1,12 +1,20 @@
 """CSV ingestion, encoding, characteristics, and split tests."""
 
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_tabular
+from fairfix import tabular
+from fairfix.synth import biased_dataset
 from fairfix.tabular import (
+    DataError,
     Dataset,
     DegenerateSplit,
     EmptyAfterCleaning,
@@ -290,3 +298,152 @@ def test_digests_and_encoded_bytes_are_pinned():
     sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()[:16]  # noqa: E731
     assert (train.digest(), val.digest()) == ("306df09a24e15056", "864ec3e83b9d6a1f")
     assert (sha(fm.values), sha(out)) == ("d272656e105e9866", "8a891d562b5b32be")
+
+
+# ---------------------------------------------------------------------------
+# the streaming loader against the list-of-rows oracle
+
+CELLS = st.sampled_from([
+    "", " ", "0", "1", " 1 ", "1.5", "x", "x,y", 'say "hi"', "two\nlines",
+    "cr\rend", "\xa0pad\t", "-inf", "NA",
+])
+LABELS = st.sampled_from(["1", "0", " 1 ", "", "yes"])
+GROUPS = st.sampled_from(["0", "1", "0 ", " ", "m"])
+PADS = st.sampled_from(["", "", " ", "\t", "\xa0"])
+HEADER_NAMES = st.sampled_from(["y", "g", "a", "b", "d", " y", "a\t", "\ufeffb"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts with quoted commas, quotes and line breaks, padded cells,
+    empty cells, ragged rows, blank lines and one of three line ends. The
+    cells come from small pools, so values repeat across rows and columns.
+    Most headers hold the schema's columns, padded and in any order."""
+    if draw(st.integers(0, 4)):
+        names = draw(st.lists(st.sampled_from(["b", "c"]), unique=True))
+        names = draw(st.permutations(["y", "g", "a", "d", *names]))
+        header = [draw(PADS) + n + draw(PADS) for n in names]
+    else:
+        header = draw(st.lists(HEADER_NAMES, min_size=1, max_size=6))
+    pools = {"y": LABELS, "g": GROUPS}
+    rows = [header]
+    for _ in range(draw(st.integers(0, 14))):
+        row = [draw(pools.get(name.strip(), CELLS)) for name in header]
+        shape = draw(st.integers(0, 9))
+        if shape == 0:
+            row = []  # a blank line
+        elif shape == 1:
+            row = row[:-1]
+        elif shape == 2:
+            row.append(draw(CELLS))
+        rows.append(row)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerows(rows)
+    return buf.getvalue()
+
+
+@st.composite
+def schemas(draw):
+    return Schema(
+        label="y",
+        favorable="1",
+        protected="g",
+        unprivileged="0",
+        drop=draw(st.sampled_from([(), ("d",)])),
+        categorical=draw(st.sampled_from([(), ("a",)])),
+    )
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def loaded(load, path, schema):
+    try:
+        return load(path, schema)
+    except Exception as e:  # compared by type with the oracle's
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts() | st.just(""), schema=schemas())
+def test_load_csv_matches_the_list_of_rows_oracle(csv_dir, text, schema):
+    path = csv_dir / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = loaded(reference_tabular.load_csv, path, schema)
+    got = loaded(load_csv, path, schema)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, Dataset), got
+    assert got.feature_names == want.feature_names
+    assert got.cells.dtype == object and got.cells.shape == want.cells.shape
+    assert got.cells.tolist() == want.cells.tolist()
+    assert got.y.tobytes() == want.y.tobytes() and got.z.tobytes() == want.z.tobytes()
+    assert got.provenance == want.provenance
+    assert got.categorical_override == want.categorical_override
+    assert got.digest() == want.digest()
+    cells = got.cells.ravel().tolist()
+    assert len({id(c) for c in cells}) == len(set(cells))  # one object per value
+
+
+def test_load_csv_shares_one_object_per_distinct_cell(tmp_path):
+    text = "income,city,town,sex\n" + ">50K,york, york,female\n<=50K,york,leeds,male\n" * 50
+    ds = load_csv(write_toy(tmp_path, text), TOY_SCHEMA)
+    assert ds.cells.shape == (100, 2)
+    assert len({id(c) for c in ds.cells.ravel().tolist()}) == 2  # york, leeds
+
+
+# ---------------------------------------------------------------------------
+# numeric columns: one parse per cell, and no one-hot of a stray cell
+
+
+def test_each_numeric_train_cell_is_parsed_once(monkeypatch):
+    train, val = mixed_split()
+    floats = tabular._floats
+    parsed = []
+
+    def spy(col):
+        out = floats(col)
+        if out is not None and np.shares_memory(col, train.cells):
+            parsed.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(tabular, "_floats", spy)
+    fm = encode(train)
+    fm.encoder.transform(val)
+    # age and hours, parsed in fit; the train transform reuses the floats
+    assert parsed == [fm.values[:, 0].tolist(), fm.values[:, 1].tolist()]
+
+
+def with_cell(ds, row, col, value):
+    cells = ds.cells.copy()
+    cells[row, col] = value
+    return Dataset(ds.feature_names, cells, ds.y, ds.z, ds.provenance)
+
+
+def test_a_stray_cell_in_a_numeric_column_is_a_data_error():
+    ds = biased_dataset(2000, 0.3, seed=0)
+    assert encode(ds).values.shape == (2000, 2)
+    stray = with_cell(ds, 1234, 0, "NA")
+    with pytest.raises(DataError, match=r"column 'x1'.*'NA'.*'drop' or 'categorical'"):
+        encode(stray)
+    # forced categorical, the column one-hots as the schema asks
+    forced = Dataset(
+        stray.feature_names, stray.cells, stray.y, stray.z, stray.provenance,
+        categorical_override=("x1",),
+    )
+    assert encode(forced).encoder.kinds == ("categorical", "numeric")
+
+
+@pytest.mark.parametrize("numbers, kind", [(2, "categorical"), (3, "error"), (4, "numeric")])
+def test_a_column_errs_only_when_more_than_half_its_cells_are_numbers(numbers, kind):
+    cells = np.array([[str(i)] if i < numbers else ["inf" if i % 2 else "n/a"] for i in range(4)],
+                     dtype=object)
+    ds = Dataset(("a",), cells, [0, 1, 0, 1], [0, 0, 1, 1], {"source": "t"})
+    if kind == "error":
+        with pytest.raises(DataError, match="3 of 4"):
+            encode(ds)
+    else:
+        assert encode(ds).encoder.kinds == (kind,)
