@@ -225,7 +225,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     one `str` object, so a column of few distinct values costs one pointer
     a row."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -17,7 +17,7 @@ from fairfix.tabular import DataError, Dataset, EmptyAfterCleaning, MissingColum
 def load_csv(path, schema: Schema) -> Dataset:
     """Load an RFC-4180 CSV with header; rows with missing cells are dropped."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = [[c.strip() for c in row] for row in reader if row]

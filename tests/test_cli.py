@@ -19,6 +19,7 @@ from fairfix.cli import build_parser, main
 from fairfix.fairea import TradeoffBaseline
 from fairfix.prune_db import BuildConfig, load as load_db
 from fairfix.synth import biased_dataset, fixture_schema, write_fixture
+from fairfix.tabular import load_csv
 
 NOT_UTF8 = b"\xff\xfe\x00"
 
@@ -352,6 +353,13 @@ def test_malformed_csv_exits_with_its_documented_code(tmp_path, name, code):
         assert err.startswith("data error:")
     if name == "stray-na":
         assert "column 'x1'" in err and "'NA'" in err
+
+
+def test_a_bom_before_the_fixture_header_is_dropped(tmp_path):
+    write_fixture(tmp_path, rows=300)
+    header, *rows = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "data.csv").write_bytes(malformed_csvs(header, rows)["bom"])
+    assert load_csv(tmp_path / "data.csv", fixture_schema()).feature_names == ("x1", "x2")
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -374,6 +374,33 @@ def test_trial_log_digests_are_pinned(algorithm):
     assert repair(ds, algorithm, cfg).log.digest() == PINNED_DIGESTS[algorithm]
 
 
+def categorical_ds(n, seed):
+    """biased_dataset's two numeric columns plus three categorical columns
+    of 4, 5 and 3 levels; `job` leans on the protected group."""
+    base = biased_dataset(n, 0.3, seed=seed)
+    rng = np.random.default_rng(seed)
+    city = rng.choice(["york", "leeds", "paris", "oslo"], n)
+    job = np.array([f"job{k}" for k in rng.integers(0, 4, n) + base.z])
+    tier = rng.choice(["low", "mid", "top"], n, p=[0.5, 0.3, 0.2])
+    cells = np.column_stack([base.cells, city.astype(object), job.astype(object),
+                             tier.astype(object)])
+    return Dataset((*base.feature_names, "city", "job", "tier"), cells, base.y, base.z,
+                   {"source": "test"})
+
+
+# logreg on one-hot blocks: recorded while every fit was dense, and
+# unchanged since logreg reads its blocks by code
+CATEGORICAL_LOGREG_DIGEST = "f2b8a1953d92d14d"
+
+
+def test_categorical_logreg_trial_log_digest_is_pinned():
+    ds = categorical_ds(1500, seed=4)
+    assert encode(ds).values.shape[1] == 2 + 4 + 5 + 3
+    cfg = RepairConfig(metric=MetricKind.EOD, trials=11, seed=3)
+    log = repair(ds, AlgorithmKind.LOGISTIC_REGRESSION, cfg).log
+    assert log.digest() == CATEGORICAL_LOGREG_DIGEST
+
+
 # 25 trials reach the surrogate; a db entry built at that input sets a pruned
 # space for a second input of the same shape. Digests recorded before ranges
 # moved into ParamDef, and unchanged by it

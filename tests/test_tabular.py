@@ -57,6 +57,17 @@ def test_load_csv_labels_and_groups(tmp_path):
     assert characteristics(ds) == (4, 2)
 
 
+def test_a_utf8_bom_is_not_part_of_the_first_header_name(tmp_path):
+    # the label is the first column, so a BOM left in its name would make
+    # the label column missing
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + TOY.encode("utf-8"))
+    ds = load_csv(p, TOY_SCHEMA)
+    assert ds.y.tolist() == [1, 0, 1, 0]
+    assert ds.feature_names == ("age", "city")
+    assert ds.digest() == reference_tabular.load_csv(p, TOY_SCHEMA).digest()
+
+
 def test_schema_from_json(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(
