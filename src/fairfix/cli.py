@@ -119,6 +119,9 @@ def cmd_build_db(args) -> int:
             data_rel, schema_rel, model = row["data"], row["schema"], row["model"]
         except (KeyError, TypeError) as exc:
             raise DataError(f"manifest entry {i} missing key: {exc}") from exc
+        for key, value in (("data", data_rel), ("schema", schema_rel)):
+            if not isinstance(value, str):
+                raise DataError(f"manifest entry {i}: {key} {value!r} is not a string")
         metric = row.get("metric", "spd")
         if model not in _MODELS:
             raise DataError(f"manifest entry {i}: unknown model {model!r}")

@@ -13,27 +13,6 @@ from ..tabular import round_half_up
 _LEAF_CLIP = 10.0
 
 
-class _StageTree(RegressionTree):
-    """A stage tree grown on the residuals g; each leaf takes one Newton
-    step on the logistic loss over its training rows."""
-
-    def __init__(self, max_depth):
-        super().__init__(max_depth, min_leaf=1)
-
-    def fit(self, X, g, hess, order=None):
-        # hess is needed only while the leaves are set, so it is not kept
-        self._hess = hess
-        try:
-            return super().fit(X, g, order=order)
-        finally:
-            del self._hess
-
-    def _leaf_values(self, g, leaf_sums, counts):
-        g_sum, h_sum = leaf_sums(g, self._hess)
-        v = g_sum / np.maximum(h_sum, 1e-12)
-        return np.minimum(np.maximum(v, -_LEAF_CLIP), _LEAF_CLIP)
-
-
 class GradientBoostingModel:
     def __init__(self, stages, learning_rate, max_depth, subsample):
         self.stages = stages
@@ -62,10 +41,13 @@ class GradientBoostingModel:
                 rows = np.sort(rng.choice(n, size=m, replace=False))
             else:
                 rows = np.arange(n)
+            # each leaf takes one Newton step on the logistic loss over its
+            # rows: the sum of their residuals over the sum of their Hessians
             hess = prob[rows] * (1.0 - prob[rows])
-            tree = _StageTree(self.max_depth).fit(
-                X[rows], resid[rows], hess, _presort_rows(order, rows)
+            tree = RegressionTree(self.max_depth, min_leaf=1).fit(
+                X[rows], resid[rows], weight=hess, order=_presort_rows(order, rows)
             )
+            np.clip(tree.value, -_LEAF_CLIP, _LEAF_CLIP, out=tree.value)
             F = F + self.learning_rate * tree.predict(X)
             if not np.isfinite(F).all():
                 raise NumericOverflow("boosting scores overflowed")

@@ -19,19 +19,16 @@ def _nearest(d2, k):
     """The k columns of each row of d2 that a stable argsort puts first:
     nearest first, equal distances by column. NaN sorts last."""
     rows, n = d2.shape
-    if k < n:
-        kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
-        below = d2 < kth
-        tied = d2 == kth
-        nan = np.isnan(kth[:, 0])
-        if nan.any():
-            below[nan] = ~np.isnan(d2[nan])
-            tied[nan] = ~below[nan]
-        # of the columns at the k-th distance, the first ones by column
-        tied &= np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)
-        chosen = np.flatnonzero(below | tied).reshape(rows, k) % n
-    else:
-        chosen = np.broadcast_to(np.arange(n), (rows, n))
+    kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    below = d2 < kth
+    tied = d2 == kth
+    nan = np.isnan(kth[:, 0])
+    if nan.any():
+        below[nan] = ~np.isnan(d2[nan])
+        tied[nan] = ~below[nan]
+    # of the columns at the k-th distance, the first ones by column
+    tied &= np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)
+    chosen = np.flatnonzero(below | tied).reshape(rows, k) % n
     by_distance = np.argsort(np.take_along_axis(d2, chosen, axis=1), axis=1, kind="stable")
     return np.take_along_axis(chosen, by_distance, axis=1)
 

@@ -231,40 +231,35 @@ def _regroup(order, M, side, lefts, rights):
 
 
 class _Tree:
-    """Shared growth/prediction machinery; subclasses set leaf values.
+    """Shared growth and prediction.
 
     Nodes are numbered level by level: the roots first, one per tree, then
     each depth's nodes, the left children of its split nodes in their order
     before the right ones. A leaf has feature -1 and is its own left and
-    right child, so a walk that reaches it stays there.
+    right child, so a walk that reaches it stays there. A leaf's value is
+    the sum of its rows' targets over the sum of their weights, each row
+    weighing 1 if no weights are given; a gini or entropy tree takes the
+    majority label of that mean, ties to 1.
     """
 
     def __init__(self, max_depth, min_leaf, criterion):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.criterion = criterion
-        self.n_features = 0
         self.n_trees = 0
         self.depth = 0
         self.feature = self.threshold = self.left = self.right = self.value = None
 
-    def _leaf_values(self, target, leaf_sums, counts):
-        """Each leaf's value. `leaf_sums(a, ...)` sums each per-row array
-        over each leaf's training rows in ascending order, one row of sums
-        per array; counts are the leaves' row counts."""
-        raise NotImplementedError
-
-    def fit(self, X, target, rng=None, max_features=None, trees=1, order=None):
+    def fit(self, X, target, weight=None, rng=None, max_features=None, trees=1, order=None):
         """Grow `trees` trees, tree t on the t-th of `trees` equal blocks of
-        rows of (X, target); `rng` draws `max_features` candidate features
-        at every split node, level by level, left to right. `order`, if
-        given, is `_presort(X, trees)`, and the fit overwrites it."""
+        rows of (X, target, weight); `rng` draws `max_features` candidate
+        features at every split node, level by level, left to right. `order`,
+        if given, is `_presort(X, trees)`, and the fit overwrites it."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         N, d = X.shape
         if N % trees:
             raise ValueError(f"{N} rows do not make {trees} equal blocks")
-        self.n_features = d
         self.n_trees = trees
         drawn = max_features is not None and max_features < d
         # each level's nodes hold the first M places of every row of
@@ -350,12 +345,13 @@ class _Tree:
         # each leaf's rows, ascending, leaf after leaf
         rows, ids, counts = (np.concatenate(a) for a in zip(*leaves))
         firsts = counts.cumsum() - counts
-
-        def leaf_sums(*arrays):
-            return _run_sums(arrays, rows, firsts, counts)
-
+        arrays = (target,) if weight is None else (target, weight)
+        sums = _run_sums(arrays, rows, firsts, counts)
+        value = sums[0] / np.maximum(counts if weight is None else sums[1], 1e-12)
+        if self.criterion != "variance":
+            value = np.where(value >= 0.5, 1.0, 0.0)  # majority label, ties to 1
         self.value = np.zeros(len(self.feature))
-        self.value[ids] = self._leaf_values(target, leaf_sums, counts)
+        self.value[ids] = value
         return self
 
     def predict(self, X):
@@ -393,10 +389,6 @@ class ClassificationTree(_Tree):
     def __init__(self, max_depth, min_leaf, criterion="gini"):
         super().__init__(max_depth, min_leaf, criterion)
 
-    def _leaf_values(self, target, leaf_sums, counts):
-        # majority label, ties to 1
-        return np.where(leaf_sums(target)[0] / counts >= 0.5, 1.0, 0.0)
-
     def predict(self, X):
         return super().predict(X).astype(np.int8)
 
@@ -404,9 +396,6 @@ class ClassificationTree(_Tree):
 class RegressionTree(_Tree):
     def __init__(self, max_depth, min_leaf):
         super().__init__(max_depth, min_leaf, "variance")
-
-    def _leaf_values(self, target, leaf_sums, counts):
-        return leaf_sums(target)[0] / counts
 
 
 class RandomForestModel:

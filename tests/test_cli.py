@@ -215,6 +215,21 @@ def test_build_db_with_a_manifest_not_utf8_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [{"data": 5}, {"data": None}, {"schema": ["x"]}])
+def test_build_db_with_a_path_that_is_not_a_string_exits_3(corpus, tmp_path, capsys, bad):
+    row = {"data": "data.csv", "schema": "schema.json", "model": "dtree", **bad}
+    (tmp_path / "manifest.json").write_text(json.dumps([row]), encoding="utf-8")
+    for name in ("data.csv", "schema.json"):
+        (tmp_path / name).write_bytes((corpus / name).read_bytes())
+    code = main([
+        "build-db", "--corpus", str(tmp_path), "--seed", "0",
+        "--out", str(tmp_path / "db.json"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
 def test_missing_data_file_exits_3(corpus, tmp_path, capsys):
     code = main([
         "repair", "--data", str(tmp_path / "nope.csv"),

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import reference_trees as ref
 from fairfix.model_zoo import _trees
-from fairfix.model_zoo._boosting import GradientBoostingModel
+from fairfix.model_zoo._boosting import _LEAF_CLIP, GradientBoostingModel
+from fairfix.model_zoo._linear import sigmoid
 from fairfix.model_zoo._trees import (
     ClassificationTree,
     RandomForestModel,
@@ -174,6 +175,29 @@ def test_boosting_on_continuous_data_matches_reference():
     old = ref.boosting_fit(GradientBoostingModel(*args), X, y, np.random.default_rng(1))
     P = rng.normal(size=(200, 3))
     assert new.decision_function(P).tobytes() == old.decision_function(P).tobytes()
+
+
+def test_boosting_clip_and_zero_hessian_guard_match_reference():
+    """One 0 among nineteen 1s: stage 0's Newton step on the 0 is -20, so
+    it is clipped, and later stages drive some leaf's Hessian sum below
+    the 1e-12 floor."""
+    X = np.arange(20.0)[:, None]
+    y = np.array([1] * 19 + [0])
+    args = (120, 0.5, 1, 1.0)
+    new = GradientBoostingModel(*args).fit(X, y, np.random.default_rng(0))
+    old = ref.boosting_fit(GradientBoostingModel(*args), X, y, np.random.default_rng(0))
+    for a, b in zip(new.trees, old.trees, strict=True):
+        assert_same_tree(a, b, X)
+    P = probe_rows(X)
+    assert new.decision_function(P).tobytes() == old.decision_function(P).tobytes()
+    assert -_LEAF_CLIP in new.trees[0].value.tolist()
+    # each stage's per-leaf Hessian sums, replayed on the reference trees
+    F, h_min = np.full(len(y), old.f0), np.inf
+    for tree in old.trees:
+        prob = sigmoid(F)
+        h_min = min(h_min, np.bincount(tree.apply(X), prob * (1.0 - prob)).min())
+        F = F + old.learning_rate * tree.predict(X)
+    assert 0.0 < h_min < 1e-12
 
 
 def test_nodes_see_ascending_rows_and_the_reference_scores():
@@ -363,3 +387,12 @@ def test_single_leaf_tree_predicts_everywhere():
     tree = RegressionTree(4, 1).fit(X, np.arange(5.0))
     assert tree.depth == 0 and tree.feature.tolist() == [-1]
     assert tree.predict(np.ones((3, 2))).tolist() == [2.0, 2.0, 2.0]
+
+
+def test_leaves_with_zero_weight_divide_by_the_floor():
+    X = np.arange(6.0)[:, None]
+    t = np.array([1.0, 2.0, 0.5, -3.0, -3.0, -1.0])
+    tree = RegressionTree(1, 1).fit(X, t, weight=np.zeros(6))
+    leaves = tree.value[tree.feature < 0]
+    assert np.isfinite(leaves).all()
+    assert leaves.tolist() == [t[:3].sum() / 1e-12, t[3:].sum() / 1e-12]
