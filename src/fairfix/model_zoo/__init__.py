@@ -86,17 +86,34 @@ def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X, y):
     raise ValueError(f"unknown algorithm {a!r}")
 
 
+# components whose fit computes statistics of the training matrix
+_FITTED_STATISTICS = (
+    ComponentKind.STANDARDIZE,
+    ComponentKind.MINMAX,
+    ComponentKind.VARIANCE_TOPK,
+)
+
+
 def train(cfg: PipelineConfig, fm: FeatureMatrix, seed: int) -> FittedPipeline:
     """Fit component and classifier on an encoded training split. A repair
-    encodes its split once and passes the FeatureMatrix to every trial."""
+    encodes its split once and passes the FeatureMatrix to every trial.
+
+    A component's statistics depend only on the matrix, so each kind is
+    fitted once per FeatureMatrix and applied as fitted on later calls."""
     rng = np.random.default_rng(seed)
     X = fm.values
     if X.shape[1] == 0:
         raise ValueError("encoded feature width is 0")
     y = fm.y.astype(np.int64)
-    component, Xt, yt = fit_component(
-        cfg.component, X, y, f_pre=len(fm.encoder.feature_names)
-    )
+    component = fm._components.get(cfg.component)
+    if component is not None:
+        Xt, yt = component.apply(X), y
+    else:
+        component, Xt, yt = fit_component(
+            cfg.component, X, y, f_pre=len(fm.encoder.feature_names)
+        )
+        if cfg.component in _FITTED_STATISTICS:
+            fm._components[cfg.component] = component
     model = _build_model(cfg, rng, Xt, yt)
     majority = 1 if int((y == 1).sum()) >= int((y == 0).sum()) else 0
     return FittedPipeline(cfg, fm.encoder, component, model, majority)

@@ -142,13 +142,19 @@ class RepairConfig:
 
 @dataclass(frozen=True)
 class RepairResult:
-    """What a repair computed; the rest is derived from it."""
+    """What a repair computed, and the input it repaired; the rest is
+    derived from those."""
 
     pipeline: FittedPipeline
     log: smbo.TrialLog
     state: BetaState
     baseline: TradeoffBaseline
-    input_digest: str
+    data: Dataset
+
+    @property
+    def input_digest(self) -> str:
+        """The input's content hash, computed when it is asked for."""
+        return self.data.digest()
 
     @property
     def best_config(self) -> PipelineConfig:
@@ -199,16 +205,24 @@ class _TrialObjective:
 
     A trial fits on the encoded train matrix and scores on the encoded val
     matrix; no cell is re-parsed. Training reseeds from `seed`, so a config
-    always scores the same: each ok outcome is kept under the config's
-    canonical JSON and a repeated config is looked up, not refitted.
+    always ends the same way: each outcome, a score or the exception of a
+    failed trial, is kept under the config's canonical JSON, and a repeated
+    config is looked up, not refitted.
+
+    Of the pipelines it fits, the objective keeps one: that of the trial
+    best at `beta_fn()`, the weight the trial's cost is logged at. A later
+    fit replaces it only by costing strictly less, as the earliest of
+    equal-cost trials wins `smbo.best`.
     """
 
-    def __init__(self, train_fm, val_fm, kind, seed):
+    def __init__(self, train_fm, val_fm, kind, seed, beta_fn):
         self.train_fm = train_fm
         self.val_fm = val_fm
         self.kind = kind
         self.seed = seed
+        self.beta_fn = beta_fn
         self.outcomes = {}
+        self.kept = None  # (pipeline, bias, accuracy)
 
     def score(self, fp: FittedPipeline):
         val = self.val_fm
@@ -219,10 +233,32 @@ class _TrialObjective:
         return acc, bias
 
     def __call__(self, cfg: PipelineConfig):
-        known = self.outcomes.get(_config_key(cfg))
-        if known is not None:
-            return known
-        return self.score(train(cfg, self.train_fm, seed=self.seed))
+        key = _config_key(cfg)
+        if key not in self.outcomes:
+            try:
+                fp = train(cfg, self.train_fm, seed=self.seed)
+                acc, bias = self.score(fp)
+            except smbo.FAILED_TRIAL_CAUSES as exc:
+                self.outcomes[key] = exc
+            else:
+                self._keep(fp, bias, acc)
+        known = self.outcomes[key]
+        if isinstance(known, Exception):
+            # raised without its traceback, which holds the failed fit's arrays
+            raise known.with_traceback(None)
+        return known
+
+    def _keep(self, fp: FittedPipeline, bias: float, acc: float):
+        beta = self.beta_fn()
+        cost = smbo.trial_cost(beta, bias, acc)
+        if self.kept is None or cost < smbo.trial_cost(beta, *self.kept[1:]):
+            self.kept = fp, bias, acc
+
+    def pipeline(self, cfg: PipelineConfig):
+        """The kept pipeline if it was fitted for `cfg`, else None."""
+        if self.kept is not None and self.kept[0].config == cfg:
+            return self.kept[0]
+        return None
 
 
 def _config_key(cfg: PipelineConfig) -> str:
@@ -250,11 +286,17 @@ def repair(
     The split is encoded once; every trial, the buggy model's score and the
     mutation baseline use those matrices. The buggy model is the algorithm's
     default configuration; it is fitted once and its outcome is logged as
-    trial 0. When a database is given and an entry matches this input, the
-    search uses that entry's pruned space instead of the default one.
+    trial 0. No configuration is fitted twice: the winner is returned as its
+    trial fitted it, and refitted only when β has moved the win to a trial
+    whose pipeline the objective dropped. When a database is given and an
+    entry matches this input, the search uses that entry's pruned space
+    instead of the default one.
     """
     train_fm, val_fm, buggy = fit_buggy(ds, algorithm, cfg.seed)
-    objective = _TrialObjective(train_fm, val_fm, cfg.metric, cfg.seed)
+    state = None  # set from the buggy model's score, before any trial runs
+    objective = _TrialObjective(
+        train_fm, val_fm, cfg.metric, cfg.seed, lambda: state.beta
+    )
     a1, f1 = objective.score(buggy)  # trial 0 reuses this outcome
     a0 = pseudo_accuracy(val_fm.y)
     if f1 < FAIRNESS_TOLERANCE:
@@ -284,16 +326,18 @@ def repair(
         space,
         cfg.trials,
         cfg.seed,
-        beta_fn=lambda: state.beta,
+        beta_fn=objective.beta_fn,
         on_trial=on_trial,
         initial=buggy.config,
         deadline=deadline,
     )
     best_config = smbo.best(log, state.beta).config
-    # refit is bitwise-identical to the logged trial: same seed, same split
     if best_config == buggy.config:
         pipeline = buggy
     else:
+        pipeline = objective.pipeline(best_config)
+    if pipeline is None:  # β moved the win to a trial whose fit was dropped
+        # bitwise-identical to the logged trial's fit: same seed, same split
         pipeline = train(best_config, train_fm, seed=cfg.seed)
     baseline = build_baseline(buggy, val_fm, cfg.metric, seed=cfg.seed)
-    return RepairResult(pipeline, log, state, baseline, ds.digest())
+    return RepairResult(pipeline, log, state, baseline, ds)

@@ -19,6 +19,8 @@ import numpy as np
 
 log = logging.getLogger("fairfix.tabular")
 
+_DIGEST_ROWS = 4096  # rows hashed per block by Dataset.digest
+
 
 class DataError(Exception):
     """Base for input-data problems (CLI maps these to exit code 3)."""
@@ -189,9 +191,11 @@ class Dataset:
         h.update(repr(self.feature_names).encode())
         h.update(self.y.tobytes())
         h.update(self.z.tobytes())
-        # each row's cells joined by 0x1f and ended by 0x1e
-        rows = "".join("\x1f".join(row) + "\x1e" for row in self.cells.tolist())
-        h.update(rows.encode())
+        # each row's cells joined by 0x1f and ended by 0x1e, a block of rows
+        # at a time, so no string of the whole dataset is built
+        for start in range(0, len(self.y), _DIGEST_ROWS):
+            block = self.cells[start : start + _DIGEST_ROWS].tolist()
+            h.update("".join("\x1f".join(row) + "\x1e" for row in block).encode())
         return h.hexdigest()[:16]
 
 
@@ -404,6 +408,9 @@ class FeatureMatrix:
     y: np.ndarray
     z: np.ndarray
     encoder: Encoder
+    # component kind -> the component fitted on `values`, which every later
+    # train() on this matrix applies instead of fitting it again
+    _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def encode(ds: Dataset, encoder: Encoder | None = None) -> FeatureMatrix:

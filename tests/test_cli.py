@@ -370,6 +370,69 @@ def test_malformed_csv_exits_with_its_documented_code(tmp_path, name, code):
         assert "column 'x1'" in err and "'NA'" in err
 
 
+def one_sided_group_csvs(header: str, rows: list) -> dict:
+    """The fixture CSV, `header` and `rows`, with a tiny or one-sided group,
+    by name."""
+
+    def text(lines):
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def group(r):
+        return r.split(",")[2]
+
+    def relabelled(g, y):
+        """The rows, each of group `g` given label `y`."""
+        return [f"{r.rsplit(',', 1)[0]},{y}" if group(r) == g else r for r in rows]
+
+    return {
+        "no-favorable": text([header] + relabelled("0", 0)),
+        "two-row-group": text(
+            [header] + [r for r in rows if group(r) == "0"][:2]
+            + [r for r in rows if group(r) == "1"]
+        ),
+        "always-favorable": text([header] + relabelled("1", 1)),
+    }
+
+
+@pytest.fixture(scope="module")
+def one_sided_groups(tmp_path_factory):
+    root = tmp_path_factory.mktemp("groups")
+    write_fixture(root, rows=300)
+    header, *rows = (root / "data.csv").read_text(encoding="utf-8").splitlines()
+    for name, contents in one_sided_group_csvs(header, rows).items():
+        (root / f"{name}.csv").write_bytes(contents)
+    return root
+
+
+# 3 where a rate the metric needs is undefined for the buggy model, as
+# for any input the metric cannot judge; otherwise the repair runs
+ONE_SIDED_GROUP_CODES = {
+    "no-favorable": {"spd": 0, "di": 3, "eod": 3, "aod": 3},
+    "two-row-group": {"spd": 0, "di": 3, "eod": 3, "aod": 3},
+    "always-favorable": {"spd": 0, "di": 0, "eod": 0, "aod": 3},
+}
+
+
+@pytest.mark.parametrize("model", ["dtree", "logreg"])
+@pytest.mark.parametrize("metric", ["spd", "di", "eod", "aod"])
+@pytest.mark.parametrize("name", list(ONE_SIDED_GROUP_CODES))
+def test_tiny_or_one_sided_group_exits_with_its_documented_code(
+    one_sided_groups, tmp_path, name, metric, model
+):
+    out = tmp_path / "r.json"
+    got, err = run_quietly([
+        "repair", "--data", str(one_sided_groups / f"{name}.csv"),
+        "--schema", str(one_sided_groups / "schema.json"),
+        "--model", model, "--metric", metric, "--trials", "4", "--out", str(out),
+    ])
+    code = ONE_SIDED_GROUP_CODES[name][metric]
+    assert got == code, err
+    assert "Traceback" not in err
+    assert out.exists() == (code == 0)
+    if code == 3:
+        assert err.startswith("data error:")
+
+
 def test_a_bom_before_the_fixture_header_is_dropped(tmp_path):
     write_fixture(tmp_path, rows=300)
     header, *rows = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()

@@ -301,7 +301,7 @@ def test_objective_scores_like_train_and_predict_and_reuses_outcomes(monkeypatch
     train_ds, val_ds = split(biased_dataset(rows=400, seed=4), 0.7, 0)
     train_fm = encode(train_ds)
     val_fm = encode(val_ds, train_fm.encoder)
-    objective = repair_core._TrialObjective(train_fm, val_fm, MetricKind.SPD, 3)
+    objective = repair_core._TrialObjective(train_fm, val_fm, MetricKind.SPD, 3, lambda: 0.5)
     space = default_space(AlgorithmKind.LOGISTIC_REGRESSION)
     cfg = decode_config(sample(space, np.random.default_rng(1)), space)
     yhat = model_zoo.predict(model_zoo.train(cfg, train_fm, seed=3), val_fm)
@@ -352,6 +352,130 @@ def test_repair_encodes_once_and_fits_the_default_once(monkeypatch):
     assert calls["fit"] == 1
     assert calls["transform"] == 2  # the train split and the val split
     assert calls["default"] == 1
+
+
+def counting_train(monkeypatch):
+    """Patch repair_core.train to record the key of each config it fits."""
+    fits = []
+    train = repair_core.train
+
+    def spy_train(cfg, data, seed):
+        fits.append(repair_core._config_key(cfg))
+        return train(cfg, data, seed=seed)
+
+    monkeypatch.setattr(repair_core, "train", spy_train)
+    return fits
+
+
+def distinct_configs(log):
+    return {repair_core._config_key(r.config) for r in log.records}
+
+
+def test_a_failed_config_is_trained_once_and_fails_the_same_way(monkeypatch):
+    # a column near 1e300 overflows logreg's logits in its second epoch
+    rng = np.random.default_rng(0)
+    n = 200
+    y = np.array([0, 1] * (n // 2), dtype=np.int8)
+    z = np.array([0, 0, 1, 1] * (n // 4), dtype=np.int8)
+    cells = np.array([[repr(float(v) * 1e300)] for v in rng.uniform(1, 2, n)], dtype=object)
+    train_ds, val_ds = split(Dataset(("x",), cells, y, z, {"source": "huge"}), 0.7, 0)
+    train_fm = encode(train_ds)
+    objective = repair_core._TrialObjective(
+        train_fm, encode(val_ds, train_fm.encoder), MetricKind.SPD, 0, lambda: 0.5
+    )
+    cfg = default_config(AlgorithmKind.LOGISTIC_REGRESSION)
+    assert cfg.component is model_zoo.ComponentKind.NONE
+    fits = counting_train(monkeypatch)
+    outcomes = [smbo._call_objective(objective, cfg) for _ in range(2)]
+    assert len(fits) == 1
+    assert [o[:4] for o in outcomes] == [
+        ("failed", None, None, "NumericOverflow: logits overflowed during training")
+    ] * 2
+    assert objective.kept is None
+
+
+def test_a_searched_winner_is_returned_as_fitted(monkeypatch):
+    ds = biased_dataset(600, 0.3, seed=0)
+    cfg = RepairConfig(metric=MetricKind.EOD, trials=40, seed=0)
+    fits = counting_train(monkeypatch)
+    res = repair(ds, AlgorithmKind.DECISION_TREE, cfg)
+    assert res.best_config != res.log.records[0].config
+    # the default's fit and one per other distinct config: no refit
+    assert sorted(fits) == sorted(distinct_configs(res.log))
+
+
+def test_the_winner_is_refitted_when_its_pipeline_was_dropped(monkeypatch):
+    ds = biased_dataset(600, 0.3, seed=0)
+    cfg = RepairConfig(metric=MetricKind.EOD, trials=40, seed=0)
+    want = repair(ds, AlgorithmKind.DECISION_TREE, cfg)
+
+    def keep_first(self, fp, bias, acc):
+        if self.kept is None:
+            self.kept = fp, bias, acc
+
+    monkeypatch.setattr(repair_core._TrialObjective, "_keep", keep_first)
+    fits = counting_train(monkeypatch)
+    res = repair(ds, AlgorithmKind.DECISION_TREE, cfg)
+    assert res.log.digest() == want.log.digest()
+    assert res.best_config == want.best_config
+    assert res.best_config == smbo.best(res.log, res.state.beta).config
+    assert res.best_config != res.log.records[1].config  # the kept one
+    assert len(fits) == len(distinct_configs(res.log)) + 1
+    assert fits[-1] == repair_core._config_key(res.best_config)
+    _, val_fm, _ = repair_core.fit_buggy(ds, AlgorithmKind.DECISION_TREE, cfg.seed)
+    assert np.array_equal(model_zoo.predict(res.pipeline, val_fm),
+                          model_zoo.predict(want.pipeline, val_fm))
+
+
+@pytest.mark.parametrize("algorithm", list(AlgorithmKind))
+def test_the_returned_pipeline_predicts_like_a_fresh_fit(algorithm):
+    ds = biased_dataset(600, 0.3, seed=1)
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=12, seed=1)
+    res = repair(ds, algorithm, cfg)
+    assert res.best_config != res.log.records[0].config
+    train_fm, val_fm, _ = repair_core.fit_buggy(ds, algorithm, cfg.seed)
+    fresh = model_zoo.train(res.best_config, train_fm, seed=cfg.seed)
+    for fm in (train_fm, val_fm):
+        got = model_zoo.predict(res.pipeline, fm)
+        assert got.tobytes() == model_zoo.predict(fresh, fm).tobytes()
+
+
+def test_each_component_is_fitted_once_per_split(monkeypatch):
+    calls = []
+    fit_component = model_zoo.fit_component
+
+    def spy(kind, X, y, f_pre):
+        calls.append((id(X), kind))
+        return fit_component(kind, X, y, f_pre)
+
+    monkeypatch.setattr(model_zoo, "fit_component", spy)
+    ds = biased_dataset(600, 0.3, seed=0)
+    res = repair(ds, AlgorithmKind.DECISION_TREE,
+                 RepairConfig(metric=MetricKind.EOD, trials=40, seed=0))
+    statistics = {model_zoo.ComponentKind.STANDARDIZE, model_zoo.ComponentKind.MINMAX,
+                  model_zoo.ComponentKind.VARIANCE_TOPK}
+    searched = [r.config.component for r in res.log.records]
+    assert all(searched.count(kind) > 1 for kind in statistics)
+    fitted = [c for c in calls if c[1] in statistics]
+    assert sorted(k.value for _, k in fitted) == sorted(k.value for k in statistics)
+    assert len({x for x, _ in calls}) == 1  # every trial fits the one train split
+
+
+def test_repair_hashes_its_input_only_when_asked(monkeypatch):
+    ds = biased_dataset(300, 0.3, seed=1)
+    digests = []
+    digest = Dataset.digest
+
+    def spy(self):
+        digests.append(self)
+        return digest(self)
+
+    monkeypatch.setattr(Dataset, "digest", spy)
+    res = repair(ds, AlgorithmKind.DECISION_TREE, RepairConfig(MetricKind.SPD, trials=4))
+    assert digests == []
+    assert res.input_digest == digest(ds)
+    assert json.loads(res.report_json())["input_digest"] == digest(ds)
+    assert digests == [ds, ds]
 
 
 # 11 trials: the default and the random design; digests recorded before the

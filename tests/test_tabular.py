@@ -311,6 +311,32 @@ def test_digests_and_encoded_bytes_are_pinned():
     assert (sha(fm.values), sha(out)) == ("d272656e105e9866", "8a891d562b5b32be")
 
 
+def one_shot_digest(ds):
+    """Dataset.digest with every row in one string: the oracle of the hash
+    that takes rows a block at a time."""
+    h = hashlib.sha256()
+    h.update(repr(ds.provenance.get("source", "")).encode())
+    h.update(repr(ds.feature_names).encode())
+    h.update(ds.y.tobytes())
+    h.update(ds.z.tobytes())
+    rows = "".join("\x1f".join(row) + "\x1e" for row in ds.cells.tolist())
+    h.update(rows.encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("rows", [
+    1, tabular._DIGEST_ROWS - 1, tabular._DIGEST_ROWS, 3 * tabular._DIGEST_ROWS + 17,
+])
+def test_digest_of_blocks_of_rows_is_the_one_shot_digest(rows):
+    base = biased_dataset(max(rows, 4), 0.3, seed=rows)
+    rng = np.random.default_rng(rows)
+    words = np.array(["york", "zürich", "東京", "", "a\x1fb"], dtype=object)
+    cells = np.column_stack([base.cells, rng.choice(words, len(base.y))])[:rows]
+    ds = Dataset(("x1", "x2", "city"), cells, base.y[:rows], base.z[:rows],
+                 {"source": "blocks"}, allow_degenerate=True)
+    assert ds.digest() == one_shot_digest(ds)
+
+
 # ---------------------------------------------------------------------------
 # the streaming loader against the list-of-rows oracle
 
