@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tabular import Encoder, FeatureMatrix
+from ..tabular import Encoder, FeatureMatrix, Layout
 from ._boosting import GradientBoostingModel
 from ._components import FittedComponent, fit_component, top_k_count
 from ._linear import LogisticModel, NumericOverflow
@@ -62,11 +62,12 @@ class FittedPipeline:
     train_majority: int  # majority true label of the training split, ties to 1
 
 
-def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X, y):
+def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X: Layout, y):
     p = cfg.params
     a = cfg.algorithm
-    if a is AlgorithmKind.LOGISTIC_REGRESSION:
+    if a is AlgorithmKind.LOGISTIC_REGRESSION:  # reads the layout's codes
         return LogisticModel(p["learning_rate"], p["l2"], p["epochs"]).fit(X, y)
+    X = X.dense  # every other model reads the dense matrix
     if a is AlgorithmKind.DECISION_TREE:
         return ClassificationTree(p["max_depth"], p["min_leaf"], p["criterion"]).fit(X, y)
     if a is AlgorithmKind.RANDOM_FOREST:
@@ -98,10 +99,10 @@ def train(cfg: PipelineConfig, fm: FeatureMatrix, seed: int) -> FittedPipeline:
     """Fit component and classifier on an encoded training split. A repair
     encodes its split once and passes the FeatureMatrix to every trial.
 
-    A component's statistics depend only on the matrix, so each kind is
+    A component's statistics depend only on the layout, so each kind is
     fitted once per FeatureMatrix and applied as fitted on later calls."""
     rng = np.random.default_rng(seed)
-    X = fm.values
+    X = fm.layout
     if X.shape[1] == 0:
         raise ValueError("encoded feature width is 0")
     y = fm.y.astype(np.int64)
@@ -123,4 +124,6 @@ def predict(fp: FittedPipeline, fm: FeatureMatrix) -> np.ndarray:
     """Labels for a FeatureMatrix made by `fp.encoder`."""
     if fm.encoder != fp.encoder:
         raise ValueError("feature matrix was not made by the pipeline's encoder")
-    return np.asarray(fp.model.predict(fp.component.apply(fm.values)), dtype=np.int8)
+    X = fp.component.apply(fm.layout)
+    X = X if fp.config.algorithm is AlgorithmKind.LOGISTIC_REGRESSION else X.dense
+    return np.asarray(fp.model.predict(X), dtype=np.int8)

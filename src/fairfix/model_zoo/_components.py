@@ -1,8 +1,9 @@
 """Preprocessing components paired with classifiers inside a pipeline.
 
-All fitting happens on the training matrix only. Rebalance changes the
-training rows (duplicating the minority class); at inference time it, like
-None, leaves the matrix untouched.
+Components map encoded layouts, so one-hot columns stay coded. All fitting
+happens on the training layout only. Rebalance changes the training rows
+(duplicating the minority class); at inference time it, like None, leaves
+the layout untouched.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..tabular import Layout
 from ._spaces import ComponentKind
+
+_STAT_COLUMNS = 16  # columns per dense chunk of component statistics
 
 
 @dataclass
@@ -22,14 +26,18 @@ class FittedComponent:
     scale: np.ndarray = None  # Standardize: std, MinMax: max - min; never 0
     keep: np.ndarray = None
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
+    def apply(self, X: Layout) -> Layout:
         """Inference-time transform; row count is always preserved."""
         if self.kind in (ComponentKind.STANDARDIZE, ComponentKind.MINMAX):
-            out = X - self.shift
-            out /= self.scale  # in place: one full-size array, not two
-            return out
+            numeric = X.numeric - self.shift[X.numeric_at]
+            numeric /= self.scale[X.numeric_at]  # in place: one array, not two
+            span = [slice(c.start, c.start + len(c.lo)) for c in X.coded]
+            coded = [c._replace(lo=(c.lo - self.shift[s]) / self.scale[s],
+                                hi=(c.hi - self.shift[s]) / self.scale[s])
+                     for c, s in zip(X.coded, span)]
+            return Layout(numeric, coded, X.order)
         if self.kind is ComponentKind.VARIANCE_TOPK:
-            return X[:, self.keep]
+            return X.select(self.keep)
         return X  # NONE and REBALANCE
 
 
@@ -38,25 +46,31 @@ def top_k_count(f_pre: int) -> int:
     return min(f_pre, max(2, math.ceil(f_pre / 2)))
 
 
-def fit_component(kind: ComponentKind, X: np.ndarray, y: np.ndarray, f_pre: int):
-    """Fit on the training matrix; returns (component, X_train, y_train)."""
+def _per_column(X: Layout, stat) -> np.ndarray:
+    """`stat(A, axis=0)` of X's dense matrix A, from C-contiguous chunks of
+    its columns. numpy reduces a chunk row by row, as it does A, but sums a
+    lone column pairwise; so no chunk is one column wide unless A is."""
+    cuts = [*range(0, max(X.width - 1, 1), _STAT_COLUMNS), X.width]
+    return np.concatenate([stat(X.fill(np.arange(a, b)), axis=0) for a, b in zip(cuts, cuts[1:])])
+
+
+def fit_component(kind: ComponentKind, X: Layout, y: np.ndarray, f_pre: int):
+    """Fit on the training layout; returns (component, X_train, y_train)."""
     if kind is ComponentKind.NONE:
         return FittedComponent(kind), X, y
     if kind in (ComponentKind.STANDARDIZE, ComponentKind.MINMAX):
         if kind is ComponentKind.STANDARDIZE:
-            shift, scale = X.mean(0), X.std(0)
+            shift, scale = _per_column(X, np.mean), _per_column(X, np.std)
         else:
-            shift = X.min(0)
-            scale = X.max(0) - shift
+            shift = _per_column(X, np.min)
+            scale = _per_column(X, np.max) - shift
         fc = FittedComponent(kind, shift, np.where(scale == 0.0, 1.0, scale))
         return fc, fc.apply(X), y
     if kind is ComponentKind.VARIANCE_TOPK:
         k = min(top_k_count(f_pre), X.shape[1])
-        var = X.var(0)
         # highest variance first, ties to the lower column index
-        order = np.argsort(-var, kind="stable")[:k]
-        keep = np.sort(order)
-        fc = FittedComponent(kind, keep=keep)
+        order = np.argsort(-_per_column(X, np.var), kind="stable")[:k]
+        fc = FittedComponent(kind, keep=np.sort(order))
         return fc, fc.apply(X), y
     if kind is ComponentKind.REBALANCE:
         fc = FittedComponent(kind)
@@ -67,7 +81,6 @@ def fit_component(kind: ComponentKind, X: np.ndarray, y: np.ndarray, f_pre: int)
         minority = 1 if ones < zeros else 0
         min_idx = np.flatnonzero(y == minority)
         extra = np.resize(min_idx, abs(ones - zeros))  # cycle minority rows
-        X2 = np.vstack([X, X[extra]])
-        y2 = np.concatenate([y, y[extra]])
-        return fc, X2, y2
+        rows = np.concatenate([np.arange(len(y)), extra])
+        return fc, X.rows(rows), y[rows]
     raise ValueError(f"unknown component {kind!r}")

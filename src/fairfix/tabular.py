@@ -7,12 +7,14 @@ whitespace-stripped strings; a cell is missing iff it is empty after stripping.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -342,9 +344,9 @@ class Encoder:
     """Column encodings fitted on the training split.
 
     Numeric columns pass through; categorical columns one-hot in
-    first-appearance order. Unseen categories become an all-zero block and
-    unparseable numeric cells become 0.0. A column whose training cells are
-    mostly, but not all, finite numbers raises DataError.
+    first-appearance order, held as codes. Unseen categories become an
+    all-zero block and unparseable numeric cells become 0.0. A column whose
+    training cells are mostly, but not all, finite numbers raises DataError.
     """
 
     feature_names: tuple
@@ -374,46 +376,120 @@ class Encoder:
         enc._parsed = (ds.cells, parsed)
         return enc
 
-    def transform(self, ds: Dataset) -> np.ndarray:
+    def transform(self, ds: Dataset) -> "Layout":
         if ds.feature_names != self.feature_names:
             raise ValueError("dataset features do not match encoder")
         parsed = {}
         if self._parsed is not None and self._parsed[0] is ds.cells:
             parsed, self._parsed = self._parsed[1], None
-        widths = [
-            1 if kind == "numeric" else len(self.categories[name])
-            for name, kind in zip(self.feature_names, self.kinds)
-        ]
-        out = np.zeros((len(ds.y), sum(widths)))
-        at = 0
+        numeric, coded, at = [], [], 0
         for j, (name, kind) in enumerate(zip(self.feature_names, self.kinds)):
             col = ds.cells[:, j]
             if kind == "numeric":
-                out[:, at] = parsed[j] if j in parsed else _numbers(col)
-            else:
-                index = {v: k for k, v in enumerate(self.categories[name])}
-                codes = np.array([index.get(c, -1) for c in col.tolist()], dtype=np.intp)
-                seen = np.flatnonzero(codes >= 0)  # an unseen category stays all zero
-                out[seen, at + codes[seen]] = 1.0
-            at += widths[j]
+                numeric.append(parsed[j] if j in parsed else _numbers(col))
+                at += 1
+                continue
+            levels = self.categories[name]
+            index = {v: k for k, v in enumerate(levels, 1)}  # an unseen category is 0
+            codes = np.fromiter(map(index.get, col.tolist(), repeat(0)), np.intp, len(col))
+            coded.append(Coded(at, codes, np.zeros(len(levels)), np.ones(len(levels))))
+            at += len(levels)
+        return Layout(np.column_stack(numeric) if numeric else np.empty((len(ds.y), 0)), coded)
+
+
+class Coded(NamedTuple):
+    """A categorical feature's columns from `start` on, as one code per row:
+    1 + the column k the row holds at hi[k], or 0; the rest hold lo."""
+
+    start: int
+    codes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+class Layout:
+    """An encoded matrix: its numeric columns as one float matrix, its
+    categorical features as codes. `dense`, the whole matrix, is built on
+    first use and kept, in memory order `order`: 'F' after a column
+    selection, as numpy's fancy indexing gives, for BLAS sets a product's
+    last bits by memory order."""
+
+    def __init__(self, numeric: np.ndarray, coded=(), order: str = "C"):
+        self.numeric, self.coded, self.order = numeric, tuple(coded), order
+        self.width = numeric.shape[1] + sum(len(c.lo) for c in self.coded)
+        self.shape = (len(numeric), self.width)
+        self.lo = np.zeros(self.width)  # each column's lo; 0 where numeric
+        at = np.ones(self.width, dtype=bool)
+        for c in self.coded:
+            self.lo[c.start : c.start + len(c.lo)] = c.lo
+            at[c.start : c.start + len(c.lo)] = False
+        self.numeric_at = np.flatnonzero(at)  # the numeric columns' places
+
+    def __getattr__(self, name):  # dtype, flags, tolist, tobytes: of `dense`
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.dense, name)
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        return self.fill()
+
+    def fill(self, cols=None) -> np.ndarray:
+        """A new C-contiguous matrix of the columns at sorted indices `cols`;
+        with None, of all in `order`, or the numeric matrix if none is coded."""
+        X = self if cols is None else self.select(cols)
+        if not X.coded:
+            return X.numeric if cols is None else np.ascontiguousarray(X.numeric)
+        out = np.empty(X.shape, order=X.order if cols is None else "C")
+        out[...] = X.lo
+        out[:, X.numeric_at] = X.numeric
+        for c in X.coded:
+            hot = np.flatnonzero(c.codes)
+            col = c.codes[hot] - 1
+            out[hot, c.start + col] = c.hi[col]
         return out
+
+    def rows(self, idx) -> "Layout":
+        """The rows at `idx`, a slice or an index array."""
+        coded = [c._replace(codes=c.codes[idx]) for c in self.coded]
+        return Layout(self.numeric[idx], coded, self.order)
+
+    def select(self, cols) -> "Layout":
+        """The columns at sorted indices `cols`. A row whose coded column
+        is not selected gets code 0."""
+        cols = np.asarray(cols, dtype=np.intp)
+        numeric = self.numeric[:, np.flatnonzero(np.isin(self.numeric_at, cols))]
+        coded = []
+        for c in self.coded:
+            kept = cols[(cols >= c.start) & (cols < c.start + len(c.lo))] - c.start
+            if len(kept):
+                code = np.zeros(len(c.lo) + 1, dtype=np.intp)
+                code[kept + 1] = np.arange(1, len(kept) + 1)
+                start = np.searchsorted(cols, c.start + kept[0])
+                coded.append(Coded(int(start), code[c.codes], c.lo[kept], c.hi[kept]))
+        return Layout(numeric, coded, "F")
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
     """A split encoded once by an Encoder fitted on the training split: its
-    float matrix, labels and groups. Trials use `values`, not the cells."""
+    layout, labels and groups. Trials use the layout, not the cells."""
 
-    values: np.ndarray
+    layout: Layout
     y: np.ndarray
     z: np.ndarray
     encoder: Encoder
-    # component kind -> the component fitted on `values`, which every later
+    # component kind -> the component fitted on `layout`, which every later
     # train() on this matrix applies instead of fitting it again
     _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @property
+    def values(self) -> np.ndarray:
+        """The dense float matrix, built on first use and kept."""
+        return self.layout.dense
+
 
 def encode(ds: Dataset, encoder: Encoder | None = None) -> FeatureMatrix:
-    """Materialize ds's matrix with `encoder`, or with one fitted on ds."""
+    """Encode ds with `encoder`, or with one fitted on ds."""
     enc = Encoder.fit(ds) if encoder is None else encoder
     return FeatureMatrix(enc.transform(ds), ds.y, ds.z, enc)

@@ -22,7 +22,7 @@ from fairfix.model_zoo import (
     train,
 )
 from fairfix.model_zoo._components import fit_component
-from fairfix.tabular import Dataset, encode, round_half_up
+from fairfix.tabular import Dataset, Layout, encode, round_half_up
 
 
 def float_ds(rows, y, z):
@@ -385,7 +385,7 @@ def test_boosting_stages_monotone_training_loss():
         )
         fm = encode(ds)
         fp = train(cfg, fm, seed=7)
-        X = fp.component.apply(fm.values)
+        X = fp.component.apply(fm.layout).dense
         margin = fp.model.decision_function(X)
         y = ds.y.astype(float)
         p = 1.0 / (1.0 + np.exp(-np.clip(margin, -500, 500)))
@@ -402,12 +402,12 @@ def test_boosting_stages_monotone_training_loss():
 def test_rebalance_duplicates_minority_training_rows_only():
     X = np.arange(20.0).reshape(10, 2)
     y = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    fc, X2, y2 = fit_component(ComponentKind.REBALANCE, X, y, f_pre=2)
+    fc, X2, y2 = fit_component(ComponentKind.REBALANCE, Layout(X), y, f_pre=2)
     assert (y2 == 1).sum() == (y2 == 0).sum() == 9
     # appended rows are copies of the single minority row
-    assert (X2[10:] == X[0]).all()
+    assert (X2.dense[10:] == X[0]).all()
     # inference path never resamples
-    Xv = np.ones((4, 2))
+    Xv = Layout(np.ones((4, 2)))
     assert fc.apply(Xv) is Xv
 
 
@@ -425,7 +425,7 @@ def test_variance_topk_rule_and_selection():
         ]
     )
     fc, X2, _ = fit_component(
-        ComponentKind.VARIANCE_TOPK, X, np.zeros(50), f_pre=4
+        ComponentKind.VARIANCE_TOPK, Layout(X), np.zeros(50), f_pre=4
     )
     assert fc.keep.tolist() == [1, 3]  # two highest-variance columns, in order
     assert X2.shape == (50, 2)
@@ -433,13 +433,13 @@ def test_variance_topk_rule_and_selection():
 
 def test_standardize_and_minmax_fit_train_only():
     X = np.array([[0.0, 1.0], [10.0, 1.0]])
-    fc, X2, _ = fit_component(ComponentKind.STANDARDIZE, X, np.array([0, 1]), 2)
-    assert X2[:, 0].mean() == pytest.approx(0.0)
-    assert X2[:, 1].tolist() == [0.0, 0.0]  # zero-spread column left finite
-    fc2, X3, _ = fit_component(ComponentKind.MINMAX, X, np.array([0, 1]), 2)
-    assert X3[:, 0].tolist() == [0.0, 1.0]
+    fc, X2, _ = fit_component(ComponentKind.STANDARDIZE, Layout(X), np.array([0, 1]), 2)
+    assert X2.dense[:, 0].mean() == pytest.approx(0.0)
+    assert X2.dense[:, 1].tolist() == [0.0, 0.0]  # zero-spread column left finite
+    fc2, X3, _ = fit_component(ComponentKind.MINMAX, Layout(X), np.array([0, 1]), 2)
+    assert X3.dense[:, 0].tolist() == [0.0, 1.0]
     # validation transformed with training statistics
-    out = fc2.apply(np.array([[5.0, 1.0]]))
+    out = fc2.apply(Layout(np.array([[5.0, 1.0]])))
     assert out.tolist() == [[0.5, 0.0]]
 
 
@@ -448,13 +448,13 @@ def test_affine_apply_bytes_equal_the_two_temporary_expression(kind):
     rng = np.random.default_rng(3)
     X = rng.normal(0, 1e3, (200, 6))
     X[:, 5] = 7.0  # zero spread: scale 1.0
-    fc, X_train, _ = fit_component(kind, X, np.zeros(200), f_pre=6)
-    assert X_train.tobytes() == ((X - fc.shift) / fc.scale).tobytes()
+    fc, X_train, _ = fit_component(kind, Layout(X), np.zeros(200), f_pre=6)
+    assert X_train.dense.tobytes() == ((X - fc.shift) / fc.scale).tobytes()
     V = rng.normal(0, 1e3, (50, 6))
     V[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
     V[1, :2] = [1e308, -1e308]
     with np.errstate(invalid="ignore", over="ignore"):
-        out = fc.apply(V)
+        out = fc.apply(Layout(V)).dense
         expected = (V - fc.shift) / fc.scale
     assert out.dtype == np.float64 and out.flags.c_contiguous
     assert out.tobytes() == expected.tobytes()

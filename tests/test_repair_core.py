@@ -34,7 +34,7 @@ from fairfix.repair_core import (
     repair,
 )
 from fairfix.synth import biased_dataset
-from fairfix.tabular import Dataset, Encoder, encode, split
+from fairfix.tabular import Dataset, Encoder, Layout, encode, split
 
 # ---------------------------------------------------------------------------
 # scalar pieces
@@ -523,6 +523,46 @@ def test_categorical_logreg_trial_log_digest_is_pinned():
     cfg = RepairConfig(metric=MetricKind.EOD, trials=11, seed=3)
     log = repair(ds, AlgorithmKind.LOGISTIC_REGRESSION, cfg).log
     assert log.digest() == CATEGORICAL_LOGREG_DIGEST
+
+
+def test_logreg_never_builds_a_dense_matrix_and_dtree_one_per_split(monkeypatch):
+    ds = categorical_ds(1500, seed=4)
+    train_ds, val_ds = split(ds, 0.7, seed=0)
+    train_fm = encode(train_ds)
+    val_fm = encode(val_ds, train_fm.encoder)
+    assert all(len(c.lo) >= 3 for c in train_fm.layout.coded)  # three blocks
+
+    def refuse(layout):
+        raise AssertionError(f"a dense {layout.shape} matrix was built")
+
+    # logistic regression fits and predicts by code, and never asks for a
+    # whole dense matrix
+    monkeypatch.setattr(Layout, "dense", property(refuse))
+    logreg = AlgorithmKind.LOGISTIC_REGRESSION
+    for component in model_zoo.ComponentKind:
+        cfg = model_zoo.PipelineConfig(logreg, component, default_config(logreg).params)
+        model_zoo.predict(model_zoo.train(cfg, train_fm, seed=0), val_fm)
+    repair(ds, logreg, RepairConfig(metric=MetricKind.EOD, trials=6, seed=0))
+    monkeypatch.undo()
+
+    # a tree reads the dense matrix, built once per split and then kept
+    built = []
+    fill = Layout.fill
+
+    def spy(layout, cols=None):
+        if cols is None:
+            built.append(id(layout))
+        return fill(layout, cols)
+
+    monkeypatch.setattr(Layout, "fill", spy)
+    dtree = default_config(AlgorithmKind.DECISION_TREE)
+    assert dtree.component is model_zoo.ComponentKind.NONE
+    for _ in range(2):
+        fp = model_zoo.train(dtree, train_fm, seed=0)
+        model_zoo.predict(fp, val_fm)
+        model_zoo.predict(fp, train_fm)
+    assert sorted(built) == sorted([id(train_fm.layout), id(val_fm.layout)])
+    assert train_fm.values is train_fm.layout.dense
 
 
 # 25 trials reach the surrogate; a db entry built at that input sets a pruned
