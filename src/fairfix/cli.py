@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 evaluate judged the repair not worth shipping,
 2 usage or cross-file validation error, 3 data error, 4 the input model is
 already fair. Machine-readable output goes to files; stdout carries one
-human summary line per command.
+human summary line per command, stderr a repair report's warnings.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ def cmd_repair(args) -> int:
     )
     db = load_db(args.db) if args.db else None
     result = repair(ds, AlgorithmKind(args.model), cfg, db)
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     Path(args.out).write_text(result.report_json(), encoding="utf-8")
     log.info("report written to %s", args.out)
     print(

@@ -1,9 +1,10 @@
 """Preprocessing components paired with classifiers inside a pipeline.
 
 Components map encoded layouts, so one-hot columns stay coded. All fitting
-happens on the training layout only. Rebalance changes the training rows
-(duplicating the minority class); at inference time it, like None, leaves
-the layout untouched.
+happens on the training layout only; its statistics are reduced from row
+blocks of the dense matrix, which is never built whole. Rebalance changes
+the training rows (duplicating the minority class); at inference time it,
+like None, leaves the layout untouched.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from ..tabular import Layout
 from ._spaces import ComponentKind
 
-_STAT_COLUMNS = 16  # columns per dense chunk of component statistics
+_STAT_CELLS = 1 << 17  # cells per row block of component statistics
 
 
 @dataclass
@@ -46,12 +47,31 @@ def top_k_count(f_pre: int) -> int:
     return min(f_pre, max(2, math.ceil(f_pre / 2)))
 
 
-def _per_column(X: Layout, stat) -> np.ndarray:
-    """`stat(A, axis=0)` of X's dense matrix A, from C-contiguous chunks of
-    its columns. numpy reduces a chunk row by row, as it does A, but sums a
-    lone column pairwise; so no chunk is one column wide unless A is."""
-    cuts = [*range(0, max(X.width - 1, 1), _STAT_COLUMNS), X.width]
-    return np.concatenate([stat(X.fill(np.arange(a, b)), axis=0) for a, b in zip(cuts, cuts[1:])])
+def _per_column(X: Layout, ufunc, center=None) -> np.ndarray:
+    """`ufunc.reduce(A, axis=0)` of X's dense matrix A, or of (A - center)**2,
+    bit for bit as numpy reduces A whole, from blocks of _STAT_CELLS cells.
+
+    numpy reduces axis 0 of a C-contiguous matrix at least two columns wide
+    one row at a time, so a block whose first row holds the reduction so
+    far continues it exactly. It reduces a lone column pairwise, so a
+    one-column matrix is one block."""
+    n, m = X.shape
+    step = n if m == 1 else max(1, _STAT_CELLS // m)
+    buf = np.empty((min(step, n) + 1, m))  # row 0: the reduction so far
+    for a in range(0, n, step):
+        k = min(step, n - a)
+        block = X.rows(slice(a, a + k)).fill(out=buf[1 : k + 1])
+        if center is not None:
+            block -= center
+            np.square(block, out=block)
+        buf[0] = ufunc.reduce(block if a == 0 else buf[: k + 1], axis=0)
+    return buf[0].copy()
+
+
+def _mean_var(X: Layout):
+    """X.dense.mean(0) and X.dense.var(0), as numpy gives them."""
+    mean = _per_column(X, np.add) / X.shape[0]
+    return mean, _per_column(X, np.add, mean) / X.shape[0]
 
 
 def fit_component(kind: ComponentKind, X: Layout, y: np.ndarray, f_pre: int):
@@ -60,16 +80,17 @@ def fit_component(kind: ComponentKind, X: Layout, y: np.ndarray, f_pre: int):
         return FittedComponent(kind), X, y
     if kind in (ComponentKind.STANDARDIZE, ComponentKind.MINMAX):
         if kind is ComponentKind.STANDARDIZE:
-            shift, scale = _per_column(X, np.mean), _per_column(X, np.std)
+            shift, var = _mean_var(X)
+            scale = np.sqrt(var)
         else:
-            shift = _per_column(X, np.min)
-            scale = _per_column(X, np.max) - shift
+            shift = _per_column(X, np.minimum)
+            scale = _per_column(X, np.maximum) - shift
         fc = FittedComponent(kind, shift, np.where(scale == 0.0, 1.0, scale))
         return fc, fc.apply(X), y
     if kind is ComponentKind.VARIANCE_TOPK:
         k = min(top_k_count(f_pre), X.shape[1])
         # highest variance first, ties to the lower column index
-        order = np.argsort(-_per_column(X, np.var), kind="stable")[:k]
+        order = np.argsort(-_mean_var(X)[1], kind="stable")[:k]
         fc = FittedComponent(kind, keep=np.sort(order))
         return fc, fc.apply(X), y
     if kind is ComponentKind.REBALANCE:

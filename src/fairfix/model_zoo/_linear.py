@@ -77,7 +77,8 @@ class _Blocks:
                 members, sizes, code = self.groups.pop()
                 self.groups.append((members + [k], sizes + [size], code * size + c.codes))
             else:
-                self.groups.append(([k], [size], c.codes))
+                # intp once: numpy converts a narrow index on every use
+                self.groups.append(([k], [size], c.codes.astype(np.intp)))
 
     def logits(self, w, b, out):
         """X @ w + b, into `out`."""

@@ -41,6 +41,9 @@ FAIRNESS_TOLERANCE = 1e-6
 DEFAULT_ALPHA = 0.05
 DEFAULT_PATIENCE = 20
 DEFAULT_TRAIN_FRACTION = 0.7
+# fewer val rows of a protected group than this, and the report warns that
+# the group's rates, and so the bias and the region, rest on those rows
+MIN_VAL_GROUP_ROWS = 5
 
 
 class AlreadyFair(Exception):
@@ -150,6 +153,7 @@ class RepairResult:
     state: BetaState
     baseline: TradeoffBaseline
     data: Dataset
+    warnings: tuple = ()
 
     @property
     def input_digest(self) -> str:
@@ -194,6 +198,8 @@ class RepairResult:
             "original": {"acc": self.original.acc, "bias": self.original.bias},
             "region": self.region.value,
             "baseline": self.baseline.payload(),
+            # only when there are some, so a report without keeps its bytes
+            **({"warnings": list(self.warnings)} if self.warnings else {}),
         }
 
     def report_json(self) -> str:
@@ -265,6 +271,18 @@ def _config_key(cfg: PipelineConfig) -> str:
     return json.dumps(cfg.to_dict(), sort_keys=True)
 
 
+def _group_warnings(z) -> tuple:
+    """A warning for each protected group with fewer than
+    MIN_VAL_GROUP_ROWS rows in the val groups `z`."""
+    counts = {"unprivileged": int((z == 0).sum()), "privileged": int((z == 1).sum())}
+    return tuple(
+        f"the val split holds {n} row{'s' * (n != 1)} of the {name} group,"
+        f" fewer than {MIN_VAL_GROUP_ROWS}; the bias and region rest on them"
+        for name, n in counts.items()
+        if n < MIN_VAL_GROUP_ROWS
+    )
+
+
 def fit_buggy(ds: Dataset, algorithm: AlgorithmKind, seed: int):
     """Split at DEFAULT_TRAIN_FRACTION, encode both sides with the train
     encoder and fit the default config on train, as a repair and its
@@ -272,6 +290,7 @@ def fit_buggy(ds: Dataset, algorithm: AlgorithmKind, seed: int):
     train_ds, val_ds = split(ds, DEFAULT_TRAIN_FRACTION, seed)
     train_fm = encode(train_ds)
     val_fm = encode(val_ds, train_fm.encoder)
+    del train_ds, val_ds  # the split's cells, not needed past encoding
     return train_fm, val_fm, train(default_config(algorithm), train_fm, seed=seed)
 
 
@@ -340,4 +359,4 @@ def repair(
         # bitwise-identical to the logged trial's fit: same seed, same split
         pipeline = train(best_config, train_fm, seed=cfg.seed)
     baseline = build_baseline(buggy, val_fm, cfg.metric, seed=cfg.seed)
-    return RepairResult(pipeline, log, state, baseline, ds)
+    return RepairResult(pipeline, log, state, baseline, ds, _group_warnings(val_fm.z))

@@ -352,36 +352,35 @@ class Encoder:
     feature_names: tuple
     kinds: tuple  # "numeric" | "categorical" per feature
     categories: dict  # name -> tuple of values, first-appearance order
-    # the fitted split's cells and its numeric columns' floats, which the
-    # first transform of that split takes, so each cell is parsed once
-    _parsed: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def fit(cls, ds: Dataset) -> "Encoder":
-        kinds, categories, parsed = [], {}, {}
+    def fit(cls, ds: Dataset, parsed: dict | None = None) -> "Encoder":
+        """The encodings of ds's columns. `parsed`, when given, receives
+        each numeric column's floats by column index, which
+        `transform(ds, parsed)` takes instead of parsing the cells again."""
+        kinds, categories = [], {}
         for j, name in enumerate(ds.feature_names):
             col = ds.cells[:, j]
             forced = name in ds.categorical_override
             values = None if forced else _floats(col)
             if values is not None and np.isfinite(values).all():
                 kinds.append("numeric")
-                parsed[j] = values
+                if parsed is not None:
+                    parsed[j] = values
                 continue
             kinds.append("categorical")
             distinct = dict.fromkeys(col.tolist())
             if not forced:
                 _reject_stray_cells(name, col, distinct)
             categories[name] = tuple(distinct)
-        enc = cls(ds.feature_names, tuple(kinds), categories)
-        enc._parsed = (ds.cells, parsed)
-        return enc
+        return cls(ds.feature_names, tuple(kinds), categories)
 
-    def transform(self, ds: Dataset) -> "Layout":
+    def transform(self, ds: Dataset, parsed: dict | None = None) -> "Layout":
+        """ds's layout; `parsed` holds numeric columns' floats by column
+        index, as `fit` gave them for these cells."""
         if ds.feature_names != self.feature_names:
             raise ValueError("dataset features do not match encoder")
-        parsed = {}
-        if self._parsed is not None and self._parsed[0] is ds.cells:
-            parsed, self._parsed = self._parsed[1], None
+        parsed = parsed or {}
         numeric, coded, at = [], [], 0
         for j, (name, kind) in enumerate(zip(self.feature_names, self.kinds)):
             col = ds.cells[:, j]
@@ -391,7 +390,9 @@ class Encoder:
                 continue
             levels = self.categories[name]
             index = {v: k for k, v in enumerate(levels, 1)}  # an unseen category is 0
-            codes = np.fromiter(map(index.get, col.tolist(), repeat(0)), np.intp, len(col))
+            codes = np.fromiter(
+                map(index.get, col.tolist(), repeat(0)), np.min_scalar_type(len(levels)), len(col)
+            )
             coded.append(Coded(at, codes, np.zeros(len(levels)), np.ones(len(levels))))
             at += len(levels)
         return Layout(np.column_stack(numeric) if numeric else np.empty((len(ds.y), 0)), coded)
@@ -399,7 +400,10 @@ class Encoder:
 
 class Coded(NamedTuple):
     """A categorical feature's columns from `start` on, as one code per row:
-    1 + the column k the row holds at hi[k], or 0; the rest hold lo."""
+    1 + the column k the row holds at hi[k], or 0; the rest hold lo. Codes
+    are of the narrowest unsigned type that holds 1 + the columns (one
+    byte up to 255 levels, two up to 65,535); whoever does arithmetic on
+    them or indexes by them every epoch widens them to `intp` first."""
 
     start: int
     codes: np.ndarray
@@ -434,18 +438,21 @@ class Layout:
     def dense(self) -> np.ndarray:
         return self.fill()
 
-    def fill(self, cols=None) -> np.ndarray:
+    def fill(self, cols=None, out=None) -> np.ndarray:
         """A new C-contiguous matrix of the columns at sorted indices `cols`;
-        with None, of all in `order`, or the numeric matrix if none is coded."""
+        with None, of all in `order`, or the numeric matrix if none is coded.
+        With `out`, the matrix is written there."""
         X = self if cols is None else self.select(cols)
-        if not X.coded:
-            return X.numeric if cols is None else np.ascontiguousarray(X.numeric)
-        out = np.empty(X.shape, order=X.order if cols is None else "C")
+        if out is None:
+            if not X.coded:
+                return X.numeric if cols is None else np.ascontiguousarray(X.numeric)
+            out = np.empty(X.shape, order=X.order if cols is None else "C")
         out[...] = X.lo
         out[:, X.numeric_at] = X.numeric
         for c in X.coded:
             hot = np.flatnonzero(c.codes)
-            col = c.codes[hot] - 1
+            col = c.codes[hot].astype(np.intp)
+            col -= 1
             out[hot, c.start + col] = c.hi[col]
         return out
 
@@ -463,7 +470,7 @@ class Layout:
         for c in self.coded:
             kept = cols[(cols >= c.start) & (cols < c.start + len(c.lo))] - c.start
             if len(kept):
-                code = np.zeros(len(c.lo) + 1, dtype=np.intp)
+                code = np.zeros(len(c.lo) + 1, dtype=c.codes.dtype)
                 code[kept + 1] = np.arange(1, len(kept) + 1)
                 start = np.searchsorted(cols, c.start + kept[0])
                 coded.append(Coded(int(start), code[c.codes], c.lo[kept], c.hi[kept]))
@@ -490,6 +497,8 @@ class FeatureMatrix:
 
 
 def encode(ds: Dataset, encoder: Encoder | None = None) -> FeatureMatrix:
-    """Encode ds with `encoder`, or with one fitted on ds."""
-    enc = Encoder.fit(ds) if encoder is None else encoder
-    return FeatureMatrix(enc.transform(ds), ds.y, ds.z, enc)
+    """Encode ds with `encoder`, or with one fitted on ds, whose numeric
+    columns' floats the transform takes, so each cell is parsed once."""
+    parsed = {}
+    enc = Encoder.fit(ds, parsed) if encoder is None else encoder
+    return FeatureMatrix(enc.transform(ds, parsed), ds.y, ds.z, enc)

@@ -81,7 +81,9 @@ def test_repair_summary_line_and_report(corpus, tmp_path, capsys):
         "--trials", "8", "--seed", "0", "--out", str(report),
     ])
     assert code == 0
-    line = capsys.readouterr().out.strip()
+    out, err = capsys.readouterr()
+    line = out.strip()
+    assert err == ""  # no warning: both groups have enough val rows
     assert re.fullmatch(
         r"region=(win|good|bad|lose|inverted)"
         r" acc \d\.\d{4}→\d\.\d{4} bias \d\.\d{4}→\d\.\d{4}",
@@ -90,6 +92,7 @@ def test_repair_summary_line_and_report(corpus, tmp_path, capsys):
     payload = json.loads(report.read_text(encoding="utf-8"))
     assert payload["metric"] == "spd"
     assert len(payload["beta_trace"]) == 8
+    assert "warnings" not in payload
 
 
 def test_repair_is_deterministic_across_invocations(corpus, tmp_path):
@@ -432,6 +435,13 @@ def test_tiny_or_one_sided_group_exits_with_its_documented_code(
     assert out.exists() == (code == 0)
     if code == 3:
         assert err.startswith("data error:")
+    if code == 0:
+        # one of the two rows lands in val: the report warns, and says so
+        warnings = json.loads(out.read_text(encoding="utf-8")).get("warnings", [])
+        want = ["the val split holds 1 row of the unprivileged group, fewer than 5;"
+                " the bias and region rest on them"] if name == "two-row-group" else []
+        assert warnings == want
+        assert err == "".join(f"warning: {w}\n" for w in want)
 
 
 def test_a_bom_before_the_fixture_header_is_dropped(tmp_path):

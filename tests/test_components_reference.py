@@ -4,10 +4,15 @@ replaced (`reference_components.py`).
 For every kind, the layout path's statistics and its dense results, train
 and val, must equal the reference's bit for bit, memory order included:
 BLAS sets the last bits of a product by memory order. Statistics come from
-chunks of columns, and numpy sums a lone column pairwise but a wider
-C-contiguous chunk row by row, so inputs include widths whose last chunk
-would be one column wide.
+blocks of rows, each continuing the reduction of the blocks before it;
+numpy reduces a C-contiguous matrix at least two columns wide row by row
+but a lone column pairwise, so the blocks are checked at each edge (below
+one block, exactly one, one row past one, several) and on one-column
+layouts, numeric and coded. Codes are one or two bytes wide, and every map
+of a layout must give what the same layout with `intp` codes gives.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +20,11 @@ import reference_components as ref
 from test_repair_core import categorical_ds
 from test_tabular import mixed_split
 
-from fairfix.model_zoo import ComponentKind
-from fairfix.model_zoo._components import _STAT_COLUMNS, fit_component
+from fairfix.model_zoo import ComponentKind, _components
+from fairfix.model_zoo._components import fit_component
+from fairfix.model_zoo._linear import _Blocks
 from fairfix.synth import biased_dataset
-from fairfix.tabular import Dataset, Layout, encode, split
+from fairfix.tabular import Coded, Dataset, Layout, encode, split
 
 
 def numeric_and_categoricals(n, seed, levels):
@@ -34,14 +40,12 @@ def numeric_and_categoricals(n, seed, levels):
 def splits():
     """(name, train, val) inputs: numeric, one-hot and forced one-hot
     columns with unseen val levels; Adult-like categoricals; one numeric
-    column beside categoricals, 1 + 4 + 3 and 1 + 32 columns wide (the
-    last a chunk and a lone column); one numeric column alone."""
+    column beside categoricals, 1 + 4 + 3 columns wide; one numeric column
+    alone."""
     yield ("mixed", *mixed_split())
     yield ("categorical", *split(categorical_ds(1500, seed=4), 0.7, seed=0))
     one = numeric_and_categoricals(900, 3, (4, 3))
     yield ("one-numeric", *split(one, 0.7, seed=1))
-    wide = numeric_and_categoricals(900, 5, (2 * _STAT_COLUMNS,))
-    yield ("one-numeric-33", *split(wide, 0.7, seed=2))
     yield ("x1-only", *split(numeric_and_categoricals(400, 6, ()), 0.7, seed=3))
 
 
@@ -92,10 +96,48 @@ def test_filled_columns_and_rows_equal_the_dense_matrix(name):
     same_array(X.rows(slice(7, 40)).fill(), A[7:40])
 
 
-def test_the_widths_cover_the_chunk_edges():
-    widths = {name: encode(train).layout.shape[1] for name, (train, _) in SPLITS.items()}
-    assert widths == {"mixed": 23, "categorical": 14, "one-numeric": 8,
-                      "one-numeric-33": 2 * _STAT_COLUMNS + 1, "x1-only": 1}
+def one_column_layouts(n=700, seed=8):
+    """A lone numeric column of large and small values, and a lone coded
+    column whose values, as after Standardize, are not 0 and 1; numpy sums
+    either pairwise, so a row-by-row sum would miss."""
+    rng = np.random.default_rng(seed)
+    numeric = Layout(rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-3, 4, (n, 1)))
+    codes = rng.integers(0, 2, n).astype(np.uint8)
+    coded = Layout(np.empty((n, 0)), [Coded(0, codes, np.array([-0.31]), np.array([2.17]))])
+    return {"one-numeric-column": numeric, "one-coded-column": coded}
+
+
+TRAIN_LAYOUTS = {name: encode(train).layout for name, (train, _) in SPLITS.items()}
+TRAIN_LAYOUTS.update(one_column_layouts())
+
+# rows per block, from the train rows n: the edge of one block and past it
+BLOCK_EDGES = {
+    "below-one-block": lambda n: n + 5,
+    "exactly-one-block": lambda n: n,
+    "one-row-past-a-block": lambda n: n - 1,
+    "several-blocks": lambda n: 7,
+}
+STATISTICS = [ComponentKind.STANDARDIZE, ComponentKind.MINMAX, ComponentKind.VARIANCE_TOPK]
+
+
+@pytest.mark.parametrize("kind", STATISTICS)
+@pytest.mark.parametrize("edge", list(BLOCK_EDGES))
+@pytest.mark.parametrize("name", list(TRAIN_LAYOUTS))
+def test_statistics_from_row_blocks_equal_the_reference(monkeypatch, name, edge, kind):
+    X = TRAIN_LAYOUTS[name]
+    n, m = X.shape
+    monkeypatch.setattr(_components, "_STAT_CELLS", BLOCK_EDGES[edge](n) * m)
+    y = np.arange(n) % 2
+    rfc, RX, _ = ref.fit_component(kind, X.dense, y, 2)
+    fc, LX, _ = fit_component(kind, X, y, 2)
+    same_statistics(fc, rfc)
+    same_array(LX.dense, RX)
+
+
+def test_the_widths_cover_one_column_layouts():
+    widths = {name: X.shape[1] for name, X in TRAIN_LAYOUTS.items()}
+    assert widths == {"mixed": 23, "categorical": 14, "one-numeric": 8, "x1-only": 1,
+                      "one-numeric-column": 1, "one-coded-column": 1}
 
 
 def test_a_numeric_only_layout_is_its_own_dense_matrix():
@@ -103,3 +145,70 @@ def test_a_numeric_only_layout_is_its_own_dense_matrix():
     X = Layout(numeric)
     assert X.dense is numeric and X.fill() is numeric
     assert encode(biased_dataset(300, 0.3, seed=0)).values.flags.c_contiguous
+
+
+def adult_shaped_layout(n=31_500, seed=0):
+    """Two numeric columns and Adult's six categoricals (91 one-hot
+    columns), codes drawn at random, one byte wide as the encoder gives."""
+    rng = np.random.default_rng(seed)
+    numeric = np.column_stack([rng.normal(40, 12, n), rng.normal(size=n)])
+    coded, at = [], 2
+    for levels in (8, 16, 7, 14, 6, 40):
+        codes = rng.integers(0, levels + 1, n).astype(np.uint8)
+        coded.append(Coded(at, codes, np.zeros(levels), np.ones(levels)))
+        at += levels
+    return Layout(numeric, coded)
+
+
+# a block of 131,072 cells is 1 MB; the whole dense matrix is 23.4 MB
+FIT_PEAK_BUDGET = 2_500_000  # bytes
+
+
+@pytest.mark.parametrize("kind", STATISTICS)
+def test_a_statistics_fit_holds_a_row_block_not_the_dense_matrix(kind):
+    X = adult_shaped_layout()
+    assert X.shape == (31_500, 93)
+    y = np.arange(31_500) % 2
+    tracemalloc.start()
+    try:
+        fit_component(kind, X, y, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < FIT_PEAK_BUDGET, peak
+
+
+def narrow_and_wide():
+    """An encoded layout with a 300-level feature (two-byte codes) and a
+    three-level one whose columns start past 255, beside 20- and 30-level
+    features whose joint code passes 255; and the same layout with `intp`
+    codes."""
+    rng = np.random.default_rng(11)
+    n, levels = 1200, (20, 30, 300, 3)
+    cats = [[f"l{k}" for k in rng.permutation(np.arange(n) % m)] for m in levels]
+    x = [repr(float(v)) for v in rng.normal(size=n)]
+    cells = np.array([x, *cats], dtype=object).T
+    names = ("x", *(f"c{m}" for m in levels))
+    ds = Dataset(names, cells, np.arange(n) % 2, np.arange(n) // 2 % 2, {"source": "test"})
+    narrow = encode(ds).layout
+    wide = Layout(narrow.numeric, [c._replace(codes=c.codes.astype(np.intp)) for c in narrow.coded])
+    return narrow, wide
+
+
+def test_narrow_codes_map_and_fit_as_intp_codes_do():
+    narrow, wide = narrow_and_wide()
+    assert [c.codes.dtype for c in narrow.coded] == [np.uint8, np.uint8, np.uint16, np.uint8]
+    assert narrow.coded[-1].start == 351
+    rng = np.random.default_rng(0)
+    cols = np.sort(rng.choice(narrow.width, 200, replace=False))
+    cols = np.union1d(cols, [350, 352])  # the 300-level feature's last, a late one
+    rows = rng.integers(0, narrow.shape[0], 500)
+    same_array(narrow.fill(), wide.fill())
+    same_array(narrow.fill(cols), wide.fill(cols))
+    same_array(narrow.select(cols).dense, wide.select(cols).dense)
+    assert [c.codes.dtype for c in narrow.select(cols).coded] == [np.uint8, np.uint8, np.uint16, np.uint8]
+    same_array(narrow.rows(rows).dense, wide.rows(rows).dense)
+    w, err = rng.normal(size=narrow.width), rng.normal(size=narrow.shape[0])
+    n = narrow.shape[0]
+    same_array(_Blocks(narrow).logits(w, 0.25, np.empty(n)), _Blocks(wide).logits(w, 0.25, np.empty(n)))
+    same_array(_Blocks(narrow).gradient(err), _Blocks(wide).gradient(err))

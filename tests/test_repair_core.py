@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -330,13 +331,13 @@ def test_repair_encodes_once_and_fits_the_default_once(monkeypatch):
     build = model_zoo._build_model
     default = default_config(AlgorithmKind.LOGISTIC_REGRESSION)
 
-    def spy_fit(cls, data):
+    def spy_fit(cls, data, *parsed):
         calls["fit"] += 1
-        return encoder_fit(cls, data)
+        return encoder_fit(cls, data, *parsed)
 
-    def spy_transform(self, data):
+    def spy_transform(self, data, *parsed):
         calls["transform"] += 1
-        return transform(self, data)
+        return transform(self, data, *parsed)
 
     def spy_build(cfg, rng, X, y):
         calls["default"] += cfg == default
@@ -352,6 +353,27 @@ def test_repair_encodes_once_and_fits_the_default_once(monkeypatch):
     assert calls["fit"] == 1
     assert calls["transform"] == 2  # the train split and the val split
     assert calls["default"] == 1
+
+
+def test_the_split_cells_are_freed_before_the_buggy_fit(monkeypatch):
+    split_cells, alive = [], []
+    split_fn, train_fn = repair_core.split, repair_core.train
+
+    def spy_split(*args):
+        sides = split_fn(*args)
+        split_cells.extend(weakref.ref(side.cells) for side in sides)
+        return sides
+
+    def spy_train(*args, **kwargs):
+        if not alive:
+            alive.extend(ref() is not None for ref in split_cells)
+        return train_fn(*args, **kwargs)
+
+    monkeypatch.setattr(repair_core, "split", spy_split)
+    monkeypatch.setattr(repair_core, "train", spy_train)
+    ds = categorical_ds(600, seed=2)
+    repair(ds, AlgorithmKind.DECISION_TREE, RepairConfig(MetricKind.SPD, trials=3))
+    assert alive == [False, False]
 
 
 def counting_train(monkeypatch):

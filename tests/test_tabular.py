@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -452,6 +453,17 @@ def test_each_numeric_train_cell_is_parsed_once(monkeypatch):
     fm.encoder.transform(val)
     # age and hours, parsed in fit; the train transform reuses the floats
     assert parsed == [fm.values[:, 0].tolist(), fm.values[:, 1].tolist()]
+
+
+def test_a_fitted_encoder_holds_no_cells():
+    train, _ = mixed_split()
+    ds = Dataset(train.feature_names, train.cells.copy(), train.y, train.z,
+                 train.provenance, train.categorical_override)
+    cells = weakref.ref(ds.cells)
+    enc = tabular.Encoder.fit(ds)
+    del ds
+    assert cells() is None
+    assert enc.kinds == ("numeric", "numeric", "categorical", "categorical", "categorical")
 
 
 def with_cell(ds, row, col, value):
