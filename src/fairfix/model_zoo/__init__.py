@@ -24,6 +24,7 @@ from ._spaces import (
     default_space,
     encode_config,
     sample,
+    sample_rows,
     space_default,
 )
 from ._trees import ClassificationTree, RandomForestModel, RegressionTree
@@ -45,6 +46,7 @@ __all__ = [
     "encode_config",
     "space_default",
     "sample",
+    "sample_rows",
     "train",
     "predict",
     "top_k_count",

@@ -1,6 +1,8 @@
 """Algorithm/component enums, hyperparameter spaces, and the row format: a
-component index, then one coordinate per param. Random draws are rows, the
-surrogate reads rows, and `decode_config` turns a row into a config."""
+component index, then one coordinate per param. Random draws are rows
+(`sample` draws one, `sample_rows` k of them from one read of numpy's bit
+generator), the surrogate reads rows, and `decode_config` turns a row into
+a config."""
 
 from __future__ import annotations
 
@@ -274,6 +276,57 @@ def sample(space: HyperparameterSpace, rng: np.random.Generator) -> list:
     """A random row: a component index, then each param's `draw`."""
     comp = float(rng.integers(len(space.components)))
     return [comp] + [p.draw(rng) for p in space.params]
+
+
+def sample_rows(space: HyperparameterSpace, rng: np.random.Generator, k: int) -> np.ndarray:
+    """`np.array([sample(space, rng) for _ in range(k)])` bit for bit, the
+    generator left in the same state, from one `random_raw` call.
+
+    It follows numpy's PCG64 `Generator` word by word: `random()` is
+    `(u >> 11) * 2**-53` of a fresh 64-bit output u; `integers(n)`, n >= 2,
+    is Lemire's `(w * n) >> 32` of a 32-bit word w, the held upper half of
+    an earlier output when `has_uint32` is set, else the lower half of a
+    fresh one, whose upper half is then held; `integers(1)` and a pinned
+    range read nothing. A word Lemire would reject (or another bit
+    generator) sends the draw back to `sample`, row by row. The
+    `test_sample_rows_*` tests in tests/test_smbo.py pin this on numpy's
+    generator.
+    """
+    # per column: n >= 2 choices take a word, 0 a 64-bit output, 1 nothing
+    n = np.array([len(space.components)] + [
+        len(p.values) if p.kind == "cat" else int(p.lo == p.hi) for p in space.params
+    ])
+    bitgen = rng.bit_generator
+    if isinstance(bitgen, np.random.PCG64):
+        state = bitgen.state
+        draws = np.tile(n[n != 1], k)  # every draw in call order
+        word = draws >= 2
+        held = state["has_uint32"]
+        # a word whose index (counting a held half first) is even starts an output
+        fresh = ~word | ((np.cumsum(word) - 1 + held) % 2 == 0)
+        raw = bitgen.random_raw(int(fresh.sum()))
+        at = np.cumsum(fresh) - 1
+        halves = raw[at[word & fresh]]
+        words = np.concatenate([
+            np.full(held, state["uinteger"], np.uint64),
+            np.stack([halves & 0xFFFFFFFF, halves >> 32], axis=1).ravel(),
+        ])[: word.sum()]
+        choices = draws[word].astype(np.uint64)
+        m = words * choices
+        if not np.any(m & 0xFFFFFFFF < 2**32 % choices):
+            values = np.empty(len(draws))
+            values[word] = m >> 32
+            values[~word] = (raw[at[~word]] >> 11) * 2.0**-53
+            rows = np.zeros((k, len(n)))
+            rows[:, n != 1] = values.reshape(k, -1)
+            after = bitgen.state
+            after["has_uint32"] = (held + len(words)) % 2
+            if len(halves):
+                after["uinteger"] = int(halves[-1] >> 32)
+            bitgen.state = after
+            return rows
+        bitgen.state = state
+    return np.array([sample(space, rng) for _ in range(k)])
 
 
 def encode_config(cfg: PipelineConfig, space: HyperparameterSpace) -> list:

@@ -4,6 +4,10 @@ SMAC-style loop: the default configuration first, a short random design,
 then an ensemble of regression trees scoring random candidates by expected
 improvement. One trial at a time, in this process: propose, evaluate,
 record; a fixed seed reproduces the same log.
+
+A proposal's candidates come from one `sample_rows` array draw, the rows
+and generator state of as many `sample` calls; it relies on numpy's PCG64
+word use, which tests/test_smbo.py pins (`test_sample_rows_*`).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .model_zoo import (
     decode_config,
     encode_config,
     sample,
+    sample_rows,
     space_default,
 )
 from .model_zoo._trees import RegressionTree
@@ -135,11 +140,12 @@ def _suggest_tagged(log: TrialLog, space: HyperparameterSpace, rng):
     y = np.array(costs)
     incumbent = float(y.min())
     n = len(rows)
-    # one stacked fit grows the ensemble, tree t on the t-th bootstrap draw
-    idx = np.concatenate([rng.integers(0, n, n) for _ in range(ENSEMBLE_SIZE)])
+    # one stacked fit grows the ensemble, tree t on the t-th bootstrap row;
+    # one draw of all rows reads the words ten draws of n would
+    idx = rng.integers(0, n, (ENSEMBLE_SIZE, n)).ravel()
     ensemble = RegressionTree(max_depth=8, min_leaf=1)
     ensemble.fit(X[idx], y[idx], trees=ENSEMBLE_SIZE)
-    drawn = np.array([sample(space, rng) for _ in range(CANDIDATES)])
+    drawn = sample_rows(space, rng, CANDIDATES)
     C = drawn.copy()  # each param column snapped to its config's coordinate
     for j, p in enumerate(space.params, 1):
         C[:, j] = p.snap(drawn[:, j])

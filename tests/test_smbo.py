@@ -21,8 +21,10 @@ from fairfix.model_zoo import (
     default_space,
     encode_config,
     sample,
+    sample_rows,
     space_default,
 )
+from fairfix.model_zoo import _spaces
 from fairfix.model_zoo._trees import RegressionTree
 from fairfix.prune_db import DatabaseEntry
 from fairfix.smbo import (
@@ -376,6 +378,94 @@ def test_decoded_draws_match_the_per_config_sampler(space, seed):
     assert a.bit_generator.state == b.bit_generator.state
 
 
+def row_by_row(space, rng, k):
+    return np.array([sample(space, rng) for _ in range(k)])
+
+
+def assert_same_draws(got, want, a, b):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces, seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), prior=st.integers(0, 3))
+def test_sample_rows_are_the_row_by_row_samples(space, seed, k, prior):
+    # prior 32-bit draws leave the generator holding a half word, or not
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (a, b):
+        rng.integers(0, 3, prior)
+    assert_same_draws(sample_rows(space, a, k), row_by_row(space, b, k), a, b)
+
+
+def test_sample_rows_of_a_space_with_no_draw_read_no_word():
+    space = default_space(AlgorithmKind.GRADIENT_BOOSTING)
+    pinned = HyperparameterSpace(
+        space.algorithm,
+        tuple(p.narrowed(lo=p.lo, hi=p.lo) for p in space.params)
+        + (ParamDef("c", "cat", values=("only",)),),
+        (ComponentKind.MINMAX,),
+    )
+    rng = np.random.default_rng(5)
+    rng.integers(0, 3)  # a held half is kept as it is
+    before = rng.bit_generator.state
+    rows = sample_rows(pinned, rng, 7)
+    assert rows.shape == (7, 6) and not rows.any()
+    assert rng.bit_generator.state == before
+
+
+# PCG64 steps its 128-bit LCG, then outputs from the new state; a state of
+# 0 outputs 0, so the state one step before it yields a zero low word
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _before_a_zero_output(inc):
+    return (-inc * pow(_PCG_MULTIPLIER, -1, 2**128)) % 2**128
+
+
+@pytest.mark.parametrize("held", [0, 1])
+def test_sample_rows_falls_back_to_rows_on_a_rejected_word(monkeypatch, held):
+    # three components: a zero word is Lemire's leftover 0 < 2**32 % 3
+    space = HyperparameterSpace(
+        AlgorithmKind.LOGISTIC_REGRESSION,
+        (ParamDef("x", "real", 0.0, 1.0), ParamDef("c", "cat", values=("u", "v", "w"))),
+        (ComponentKind.NONE, ComponentKind.STANDARDIZE, ComponentKind.MINMAX),
+    )
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    state = a.bit_generator.state
+    if held:  # the first word is the held half, 0
+        state.update(has_uint32=1, uinteger=0)
+    else:  # the first word is the low half of the next output, 0
+        state["state"]["state"] = _before_a_zero_output(state["state"]["inc"])
+        probe = np.random.PCG64()
+        probe.state = state
+        assert probe.random_raw() & 0xFFFFFFFF == 0
+    a.bit_generator.state = b.bit_generator.state = state
+    calls = spy(monkeypatch, _spaces, "sample")
+    got = sample_rows(space, a, 9)
+    assert len(calls) == 9  # the rows came from sample
+    assert_same_draws(got, row_by_row(space, b, 9), a, b)
+
+
+def test_sample_rows_of_another_bit_generator_are_the_samples():
+    space = default_space(AlgorithmKind.RANDOM_FOREST)
+    a, b = (np.random.Generator(np.random.MT19937(4)) for _ in range(2))
+    got, want = sample_rows(space, a, 25), row_by_row(space, b, 25)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (a.bit_generator.random_raw(8) == b.bit_generator.random_raw(8)).all()
+
+
+@pytest.mark.parametrize("held", [0, 1])
+def test_one_bootstrap_draw_is_the_per_tree_draws(held):
+    for n in range(1, 31):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        for rng in (a, b):
+            rng.integers(0, 3, held)
+        got = a.integers(0, n, (smbo.ENSEMBLE_SIZE, n)).ravel()
+        want = np.concatenate([b.integers(0, n, n) for _ in range(smbo.ENSEMBLE_SIZE)])
+        assert_same_draws(got, want, a, b)
+
+
 def random_log(space, rng, n=12):
     log = TrialLog()
     for i in range(n):
@@ -406,11 +496,15 @@ def test_snapped_candidates_are_the_encoded_configs(space, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smbo, "EXPLORATION", 0.0)  # always take the surrogate path
         draws = spy(mp, smbo, "sample")
+        arrays = spy(mp, smbo, "sample_rows")
         predicts = spy(mp, RegressionTree, "predict")
         _, tag = _suggest_tagged(log, space, rng)
     assert tag == "surrogate"
-    rows = [row for _, row in draws]
-    assert len(rows) == smbo.CANDIDATES
+    # the candidates are one array draw, not a sample call each
+    assert not draws
+    [((_, _, k), drawn)] = arrays
+    assert k == smbo.CANDIDATES and len(drawn) == smbo.CANDIDATES
+    rows = drawn.tolist()
     # the ensemble scores every candidate in one walk of its stacked trees
     [((_, C), preds)] = predicts
     assert preds.shape == (smbo.ENSEMBLE_SIZE, smbo.CANDIDATES)
@@ -456,12 +550,15 @@ def test_array_snap_is_the_scalar_encode_of_the_decode(p, coords, seed):
 
 def test_every_draw_is_a_sample_and_each_trial_decodes_once(monkeypatch):
     draws = spy(monkeypatch, smbo, "sample")
+    arrays = spy(monkeypatch, smbo, "sample_rows")
     decodes = spy(monkeypatch, smbo, "decode_config")
     log = run(parabola, fixture_space(), 20, seed=3)
     tags = [r.proposal for r in log.records]
     assert "surrogate" in tags
-    per_trial = {"init": 1, "random": 1, "surrogate": smbo.CANDIDATES}
-    assert len(draws) == sum(per_trial.get(t, 0) for t in tags)
+    # one sample per init trial or random proposal, one array draw of
+    # CANDIDATES rows per surrogate proposal
+    assert len(draws) == tags.count("init") + tags.count("random")
+    assert [k for (_, _, k), _ in arrays] == [smbo.CANDIDATES] * tags.count("surrogate")
     assert [cfg for _, cfg in decodes] == [r.config for r in log.records[1:]]
 
 
