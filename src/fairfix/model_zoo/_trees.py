@@ -9,7 +9,9 @@ are scored together as rows of padded (nodes, features, rows) blocks. One
 fit can grow several trees, one per equal block of rows, or start from a
 presort it is given (a boosting stage keeps its model's to its rows). A
 fitted tree is a set of flat per-node arrays, numbered level by level, that
-`predict` walks one depth at a time.
+`predict` walks one depth at a time. A tree that draws candidate features
+draws them from its own generator, at each split node in node order, so a
+forest's independent trees grow a group at a time in stacked fits.
 
 Sums that decide a split or a leaf value are numpy's own sums of a node's
 rows in sort order, or a leaf's rows in row order, each taken at that row's
@@ -68,7 +70,7 @@ def _cut_scores(V, T, m, min_leaf, criterion):
         # inf at the last min_leaf - 1 cuts of each node, 0 before them
         tail = np.where(rn < min_leaf, np.inf, 0.0)
     np.maximum(rn, 1.0, out=rn)  # a dummy right count past a node's rows
-    # in-place steps keep the arithmetic of the per-feature expressions
+    # overwriting steps keep the arithmetic of the per-feature expressions
     # il = max(lq/ln - (ls/ln)**2, 0) and scores = (ln*il + rn*ir)/m
     if criterion == "variance":
         # targets and their squares, summed in one pass
@@ -164,8 +166,8 @@ def _best_splits(X, target, order, starts, sizes, feats, min_leaf, criterion):
             a = int(starts[nodes[0]])
             rows = order[None, f0:f1, a : a + w].astype(np.intp)
         else:
-            place = starts[nodes, None] + np.minimum(np.arange(w), m[:, None] - 1)
-            rows = flat[fb[:, :, None] * width + place[:, None, :]].astype(np.intp)
+            pos = starts[nodes, None] + np.minimum(np.arange(w), m[:, None] - 1)
+            rows = flat[fb[:, :, None] * width + pos[:, None, :]].astype(np.intp)
         # C-contiguous (node, feature, row) gathers, so a row's sum is
         # numpy's pairwise sum, as for one feature's 1-D slice
         V = X.ravel()[rows * d + fb[:, :, None]]
@@ -207,15 +209,15 @@ def _presort(X, trees):
 def _presort_rows(order, rows):
     """`_presort(X[rows], 1)` from X's own presort `order`, for ascending
     `rows`: each row of `order` keeps the rows taken, in its order, each
-    renumbered to its place in `rows`."""
+    renumbered to its index in `rows`."""
     taken = np.zeros(order.shape[1], dtype=bool)
     taken[rows] = True
-    place = (taken.cumsum() - 1).astype(order.dtype)
-    return place[order[taken[order]].reshape(len(order), len(rows))]
+    index = (taken.cumsum() - 1).astype(order.dtype)
+    return index[order[taken[order]].reshape(len(order), len(rows))]
 
 
 def _regroup(order, M, side, lefts, rights):
-    """Regroup the first M places of each row of `order` in place: rows on
+    """Regroup, within `order`, the first M places of each row: rows on
     side 0 first, then rows on side 1, each in their current order; rows on
     side 2 leave. Each row holds `lefts` side-0 and `rights` side-1 rows."""
     step = max(1, _BLOCK_CELLS // max(M, 1))
@@ -252,9 +254,9 @@ class _Tree:
 
     def fit(self, X, target, weight=None, rng=None, max_features=None, trees=1, order=None):
         """Grow `trees` trees, tree t on the t-th of `trees` equal blocks of
-        rows of (X, target, weight); `rng` draws `max_features` candidate
-        features at every split node, level by level, left to right. `order`,
-        if given, is `_presort(X, trees)`, and the fit overwrites it."""
+        rows of (X, target, weight); generator `rng[t]` draws `max_features`
+        candidate features at each split node of tree t, in node order.
+        `order`, if given, is `_presort(X, trees)`, and the fit overwrites it."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         N, d = X.shape
@@ -271,7 +273,7 @@ class _Tree:
         starts = np.arange(trees) * (N // trees)
         sizes = np.full(trees, N // trees)
         side = np.empty(N, dtype=np.uint8)  # 0 left, 1 right, 2 in a leaf
-        place = np.arange(trees)  # each node's place in its level, left to right
+        tree_of = np.arange(trees)  # each node's tree, kept while drawing
         levels = []
         leaves = []  # (rows, ids, row counts) of each level's leaves
         base, depth = 0, 0
@@ -291,10 +293,9 @@ class _Tree:
             if cand.size:
                 feats = None
                 if drawn:
-                    # one draw per node in level order, left to right
                     feats = np.empty((len(cand), max_features), dtype=np.intp)
-                    for j in np.argsort(place[cand]).tolist():
-                        feats[j] = np.sort(rng.choice(d, size=max_features, replace=False))
+                    for j, t in enumerate(tree_of[cand].tolist()):
+                        feats[j] = np.sort(rng[t].choice(d, size=max_features, replace=False))
                 score, f, thr = _best_splits(
                     X, target, order, starts[cand], sizes[cand], feats,
                     self.min_leaf, self.criterion,
@@ -314,7 +315,7 @@ class _Tree:
             if not S:
                 leaves.append((rows, ids, sizes))
                 break
-            feature_at = np.repeat(feature, sizes)  # of each place's node
+            feature_at = np.repeat(feature, sizes)  # of each position's node
             kk = feature_at >= 0
             if not kk.all():
                 leaves.append((rows[~kk], ids[~split], sizes[~split]))
@@ -332,9 +333,7 @@ class _Tree:
                 leaves.append((np.concatenate((rows[kk & ~right], rows[right])), ids, sizes))
                 break
             if drawn:
-                rank = np.empty(S, dtype=np.intp)
-                rank[np.argsort(place[cand])] = np.arange(S)
-                place = np.concatenate((2 * rank, 2 * rank + 1))
+                tree_of = np.tile(tree_of[cand], 2)
             side[rows] = np.where(kk, right, 2)
             M = _regroup(order, M, side, int(sizes[:S].sum()), int(rights.sum()))
             starts = sizes.cumsum() - sizes
@@ -419,17 +418,22 @@ class RandomForestModel:
         y = np.asarray(y, dtype=np.float64)
         n, d = X.shape
         mf = self._feature_count(d)
+        # tree t draws from its own generator, seeded by the t-th seed, so the
+        # first k trees are a k-tree forest; a group's presort fits one block
+        seeds = rng.integers(2**63, size=self.n_trees).tolist()
+        group = max(1, _BLOCK_CELLS // max(1, n * (d + 1)))
         self.trees = []
-        for _ in range(self.n_trees):
-            idx = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
+        for g in range(0, self.n_trees, group):
+            gens = [np.random.default_rng(s) for s in seeds[g : g + group]]
+            rows = [r.integers(0, n, n) if self.bootstrap else np.arange(n) for r in gens]
+            idx = np.concatenate(rows)
             tree = ClassificationTree(self.max_depth, self.min_leaf, "gini")
-            tree.fit(X[idx], y[idx], rng=rng, max_features=mf)
+            tree.fit(X[idx], y[idx], rng=gens, max_features=mf, trees=len(gens))
             self.trees.append(tree)
         return self
 
     def predict(self, X):
-        votes = np.zeros(len(X))
-        for tree in self.trees:
-            votes += tree.predict(X)
+        # each group's (trees, rows) walk, summed over its trees
+        votes = sum(t.predict(X).reshape(t.n_trees, -1).sum(axis=0) for t in self.trees)
         # majority vote, ties to 1
         return (2 * votes >= self.n_trees).astype(np.int8)

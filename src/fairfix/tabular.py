@@ -429,11 +429,6 @@ class Layout:
             at[c.start : c.start + len(c.lo)] = False
         self.numeric_at = np.flatnonzero(at)  # the numeric columns' places
 
-    def __getattr__(self, name):  # dtype, flags, tolist, tobytes: of `dense`
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.dense, name)
-
     @functools.cached_property
     def dense(self) -> np.ndarray:
         return self.fill()

@@ -1,8 +1,9 @@
 """The tree grower and gboost leaf loop as they were before the 2-D
 grower: one argsort per node and feature, `_Node` objects, and Newton leaf
 values set through `apply`. Nodes are grown breadth-first, level by level
-and left to right, which is the order a forest draws its per-node features
-in; a tree that draws none is the same in any order.
+and left to right; a tree that draws no features is the same in any order.
+`forest_fit` grows each level in the grower's node order instead, the
+order in which a forest's tree draws its per-node features.
 
 Test-only. `test_trees_reference.py` checks the package's trees against
 these bit for bit.
@@ -205,18 +206,42 @@ class RegressionTree(_Tree):
 
 
 def forest_fit(model, X, y, rng):
-    """`RandomForestModel.fit` with the reference trees."""
+    """`RandomForestModel.fit` with the reference trees, one at a time:
+    tree t draws its bootstrap rows, then its per-node features, from a
+    generator of its own, seeded by the t-th of `n_trees` seeds from `rng`."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     mf = model._feature_count(d)
     model.trees = []
-    for _ in range(model.n_trees):
-        idx = rng.integers(0, n, n) if model.bootstrap else np.arange(n)
+    for seed in rng.integers(2**63, size=model.n_trees).tolist():
+        tree_rng = np.random.default_rng(seed)
+        idx = tree_rng.integers(0, n, n) if model.bootstrap else np.arange(n)
         tree = ClassificationTree(model.max_depth, model.min_leaf, "gini")
-        tree.fit(X[idx], y[idx], rng=rng, max_features=mf)
-        model.trees.append(tree)
+        model.trees.append(_fit_in_node_order(tree, X[idx], y[idx], tree_rng, mf))
     return model
+
+
+def _fit_in_node_order(tree, X, target, rng, max_features):
+    """`tree.fit`, with each level's nodes grown in the grower's node order:
+    the left children of the level above's split nodes, in their order,
+    before the right ones."""
+    tree.n_features = X.shape[1]
+    tree.leaves = []
+    tree.root = _Node()
+    level = [(tree.root, np.arange(len(target)), 0)]
+    while level:
+        children = []  # each split node's left child, then its right
+        for node, idx, depth in level:
+            tree._grow(node, X, target, idx, depth, rng, max_features, children)
+        level = children[0::2] + children[1::2]
+    return tree
+
+
+def forest_predict(model, X):
+    """`RandomForestModel.predict` as a vote of the reference trees."""
+    votes = sum(tree.predict(X).astype(np.int64) for tree in model.trees)
+    return (2 * votes >= model.n_trees).astype(np.int8)
 
 
 def boosting_fit(model, X, y, rng):

@@ -440,7 +440,7 @@ def test_standardize_and_minmax_fit_train_only():
     assert X3.dense[:, 0].tolist() == [0.0, 1.0]
     # validation transformed with training statistics
     out = fc2.apply(Layout(np.array([[5.0, 1.0]])))
-    assert out.tolist() == [[0.5, 0.0]]
+    assert out.dense.tolist() == [[0.5, 0.0]]
 
 
 @pytest.mark.parametrize("kind", [ComponentKind.STANDARDIZE, ComponentKind.MINMAX])

@@ -502,11 +502,13 @@ def test_repair_hashes_its_input_only_when_asked(monkeypatch):
 
 # 11 trials: the default and the random design; digests recorded before the
 # split was encoded once per repair, and unchanged by it. rforest's moved
-# once, when trees began to grow level by level: a forest draws each node's
-# candidate features in level order, not depth-first
+# twice: when trees began to grow level by level, and a forest drew each
+# node's candidate features in level order, not depth-first; then when each
+# tree took a generator of its own, seeded from the trial generator, so
+# that a forest's trees grow in stacked fits
 PINNED_DIGESTS = {
     AlgorithmKind.GRADIENT_BOOSTING: "5fc6f389d57ce0e6",
-    AlgorithmKind.RANDOM_FOREST: "f79401dad366767b",
+    AlgorithmKind.RANDOM_FOREST: "7ddcbfd2f68162e9",
     AlgorithmKind.DECISION_TREE: "ecc9b4937025e607",
     AlgorithmKind.LOGISTIC_REGRESSION: "d76f8db932278139",
     AlgorithmKind.KNN: "73f0cb7134dc62da",

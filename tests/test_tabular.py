@@ -251,7 +251,7 @@ def test_unseen_category_maps_to_zero_block(tmp_path):
         allow_degenerate=True,
     )
     out = fm.encoder.transform(probe)
-    assert out.tolist() == [[0.0, 0.0]]
+    assert out.dense.tolist() == [[0.0, 0.0]]
 
 
 def test_categorical_override_forces_one_hot(tmp_path):
@@ -305,11 +305,11 @@ def test_digests_and_encoded_bytes_are_pinned():
     out = fm.encoder.transform(val)
     assert fm.encoder.kinds == ("numeric", "numeric", "categorical", "categorical", "categorical")
     assert fm.values.shape == (300, 23) and out.shape == (100, 23)
-    assert fm.values.dtype == out.dtype == np.float64
-    assert fm.values.flags.c_contiguous and out.flags.c_contiguous
+    assert fm.values.dtype == out.dense.dtype == np.float64
+    assert fm.values.flags.c_contiguous and out.dense.flags.c_contiguous
     sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()[:16]  # noqa: E731
     assert (train.digest(), val.digest()) == ("306df09a24e15056", "864ec3e83b9d6a1f")
-    assert (sha(fm.values), sha(out)) == ("d272656e105e9866", "8a891d562b5b32be")
+    assert (sha(fm.values), sha(out.dense)) == ("d272656e105e9866", "8a891d562b5b32be")
 
 
 def one_shot_digest(ds):

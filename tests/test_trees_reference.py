@@ -67,11 +67,22 @@ def assert_same_structure(got, want):
     assert np.array([v for _, _, v in got]).tobytes() == np.array([v for _, _, v in want]).tobytes()
 
 
-def assert_same_tree(new, old, X):
-    assert_same_structure(structure(new), old.structure())
+def assert_same_tree(new, old, X, root=0):
+    """`old` is tree `root` of the stacked fit `new`, bit for bit."""
+    assert_same_structure(structure(new, root), old.structure())
     P = probe_rows(X)
-    a, b = new.predict(P), old.predict(P)
+    a, b = predict_tree(new, root, P), old.predict(P)
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def predict_tree(stacked, t, X):
+    """Tree t's predictions, of a fit of one or more trees."""
+    return stacked.predict(X).reshape(stacked.n_trees, len(X))[t]
+
+
+def forest_trees(forest):
+    """(stacked fit, root) of each tree of a forest, in tree order."""
+    return [(group, t) for group in forest.trees for t in range(group.n_trees)]
 
 
 def draw_targets(data, kind, n):
@@ -137,12 +148,67 @@ def test_forest_matches_reference(X, data, max_features, bootstrap, seed):
     new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     new = RandomForestModel(*args).fit(X, y, new_rng)
     old = ref.forest_fit(RandomForestModel(*args), X, y, old_rng)
-    # the per-node feature draws consumed the same stream
-    assert new_rng.bit_generator.state == old_rng.bit_generator.state
-    for a, b in zip(new.trees, old.trees, strict=True):
-        assert_same_tree(a, b, X)
+    # the trial generator gave the trees' seeds and nothing else
+    seeds_only = np.random.default_rng(seed)
+    seeds_only.integers(2**63, size=4)
+    assert new_rng.bit_generator.state == seeds_only.bit_generator.state
+    for (group, t), b in zip(forest_trees(new), old.trees, strict=True):
+        assert_same_tree(group, b, X, root=t)
     P = probe_rows(X)
-    assert np.array_equal(new.predict(P), old.predict(P))
+    assert new.predict(P).tobytes() == ref.forest_predict(old, P).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    X=tie_heavy_matrix(max_cols=9),
+    data=st.data(),
+    max_features=st.sampled_from(["sqrt", "log2", "all"]),
+    bootstrap=st.booleans(),
+    min_leaf=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stacked_forest_equals_its_trees_fitted_one_at_a_time(
+    X, data, max_features, bootstrap, min_leaf, seed
+):
+    """One stacked fit of every tree, and one fit per tree, grow the same
+    forest bit for bit."""
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    args = (7, 5, max_features, min_leaf, bootstrap)
+    forests = []
+    for cells in (1, 1 << 30):  # a group of one tree, then of all seven
+        with mock.patch.object(_trees, "_BLOCK_CELLS", cells):
+            forests.append(RandomForestModel(*args).fit(X, y, np.random.default_rng(seed)))
+    alone, stacked = forests
+    assert len(alone.trees) == 7 and len(stacked.trees) == 1
+    for (group, t), (tree, _) in zip(forest_trees(stacked), forest_trees(alone), strict=True):
+        assert_same_structure(structure(group, t), structure(tree))
+    P = probe_rows(X)
+    assert stacked.trees[0].predict(P).tobytes() == np.array(
+        [tree.predict(P) for tree in alone.trees]
+    ).tobytes()
+    assert stacked.predict(P).tobytes() == alone.predict(P).tobytes()
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("max_features", ["sqrt", "log2", "all"])
+def test_a_forest_is_a_prefix_of_a_larger_one(max_features, bootstrap):
+    """A k-tree forest is the first k trees of a 30-tree one with the same
+    seed, though the 30 trees grow in groups of 13, 13 and 4."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(1000, 4))
+    X[:, 2] = np.round(X[:, 2])
+    y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.0, 1000) > 0).astype(np.int8)
+    args = (6, max_features, 2, bootstrap)
+    full = RandomForestModel(30, *args).fit(X, y, np.random.default_rng(9))
+    assert [g.n_trees for g in full.trees] == [13, 13, 4]
+    P = rng.normal(size=(300, 4))
+    votes = np.cumsum([predict_tree(g, t, P) for g, t in forest_trees(full)], axis=0)
+    for k in (1, 5, 12):
+        part = RandomForestModel(k, *args).fit(X, y, np.random.default_rng(9))
+        pairs = zip(forest_trees(part), forest_trees(full)[:k])
+        for (group, t), (big, u) in pairs:
+            assert_same_structure(structure(group, t), structure(big, u))
+        assert part.predict(P).tobytes() == (2 * votes[k - 1] >= k).astype(np.int8).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
