@@ -64,12 +64,19 @@ class FittedPipeline:
     train_majority: int  # majority true label of the training split, ties to 1
 
 
+# models that read a layout; the trees fill its dense matrix for each call
+_READ_LAYOUT = (AlgorithmKind.LOGISTIC_REGRESSION, AlgorithmKind.KNN)
+
+
 def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X: Layout, y):
     p = cfg.params
     a = cfg.algorithm
-    if a is AlgorithmKind.LOGISTIC_REGRESSION:  # reads the layout's codes
+    if a not in _READ_LAYOUT:
+        X = X.fill()
+    if a is AlgorithmKind.LOGISTIC_REGRESSION:
         return LogisticModel(p["learning_rate"], p["l2"], p["epochs"]).fit(X, y)
-    X = X.dense  # every other model reads the dense matrix
+    if a is AlgorithmKind.KNN:
+        return KNNModel(p["k"], p["weights"]).fit(X, y)
     if a is AlgorithmKind.DECISION_TREE:
         return ClassificationTree(p["max_depth"], p["min_leaf"], p["criterion"]).fit(X, y)
     if a is AlgorithmKind.RANDOM_FOREST:
@@ -84,8 +91,6 @@ def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X: Layout, y):
         return GradientBoostingModel(
             p["stages"], p["learning_rate"], p["max_depth"], p["subsample"]
         ).fit(X, y, rng)
-    if a is AlgorithmKind.KNN:
-        return KNNModel(p["k"], p["weights"]).fit(X, y)
     raise ValueError(f"unknown algorithm {a!r}")
 
 
@@ -127,5 +132,5 @@ def predict(fp: FittedPipeline, fm: FeatureMatrix) -> np.ndarray:
     if fm.encoder != fp.encoder:
         raise ValueError("feature matrix was not made by the pipeline's encoder")
     X = fp.component.apply(fm.layout)
-    X = X if fp.config.algorithm is AlgorithmKind.LOGISTIC_REGRESSION else X.dense
+    X = X if fp.config.algorithm in _READ_LAYOUT else X.fill()
     return np.asarray(fp.model.predict(X), dtype=np.int8)

@@ -36,7 +36,7 @@ class FittedComponent:
             coded = [c._replace(lo=(c.lo - self.shift[s]) / self.scale[s],
                                 hi=(c.hi - self.shift[s]) / self.scale[s])
                      for c, s in zip(X.coded, span)]
-            return Layout(numeric, coded, X.order)
+            return Layout(numeric, coded)
         if self.kind is ComponentKind.VARIANCE_TOPK:
             return X.select(self.keep)
         return X  # NONE and REBALANCE
@@ -69,7 +69,7 @@ def _per_column(X: Layout, ufunc, center=None) -> np.ndarray:
 
 
 def _mean_var(X: Layout):
-    """X.dense.mean(0) and X.dense.var(0), as numpy gives them."""
+    """X.fill().mean(0) and X.fill().var(0), as numpy gives them."""
     mean = _per_column(X, np.add) / X.shape[0]
     return mean, _per_column(X, np.add, mean) / X.shape[0]
 

@@ -1,8 +1,9 @@
 """Brute-force k-nearest-neighbors, one block of query rows at a time.
 
-Each query row takes its k nearest training rows with a partial sort, then
-orders them by distance, equal distances by row, as a full stable sort
-would.
+The model keeps its training layout, not a dense copy; `predict` fills it
+and the query layout for the one call. Each query row takes its k nearest
+training rows with a partial sort, then orders them by distance, equal
+distances by row, as a full stable sort would.
 """
 
 from __future__ import annotations
@@ -37,27 +38,28 @@ class KNNModel:
     def __init__(self, k, weights):
         self.k = k
         self.weights = weights  # "uniform" | "distance"
-        self.X = None
+        self.X = None  # the training Layout
         self.y = None
 
     def fit(self, X, y):
-        self.X = np.asarray(X, dtype=np.float64)
+        self.X = X
         self.y = np.asarray(y, dtype=np.float64)
         return self
 
     def predict(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        sq = (self.X * self.X).sum(1)
+        A = self.X.fill()
+        X = X.fill()
+        sq = (A * A).sum(1)
         rows = max(1, _BLOCK_VALUES // len(self.y))
         out = np.empty(len(X), dtype=np.int8)
         for start in range(0, len(X), rows):
             block = X[start : start + rows]
-            out[start : start + rows] = self._vote(block, sq)
+            out[start : start + rows] = self._vote(block, A, sq)
         return out
 
-    def _vote(self, X, sq):
+    def _vote(self, X, A, sq):
         k = min(self.k, len(self.y))
-        d2 = (X * X).sum(1)[:, None] + sq[None, :] - 2.0 * X @ self.X.T
+        d2 = (X * X).sum(1)[:, None] + sq[None, :] - 2.0 * X @ A.T
         np.maximum(d2, 0.0, out=d2)
         nbr = _nearest(d2, k)
         labels = self.y[nbr]

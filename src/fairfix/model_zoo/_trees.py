@@ -421,9 +421,11 @@ class RandomForestModel:
         # tree t draws from its own generator, seeded by the t-th seed, so the
         # first k trees are a k-tree forest; a group's presort fits one block
         seeds = rng.integers(2**63, size=self.n_trees).tolist()
+        if not self.bootstrap and (mf is None or mf >= d):
+            seeds = seeds[:1]  # every tree would grow on the same rows and features
         group = max(1, _BLOCK_CELLS // max(1, n * (d + 1)))
         self.trees = []
-        for g in range(0, self.n_trees, group):
+        for g in range(0, len(seeds), group):
             gens = [np.random.default_rng(s) for s in seeds[g : g + group]]
             rows = [r.integers(0, n, n) if self.bootstrap else np.arange(n) for r in gens]
             idx = np.concatenate(rows)
@@ -435,5 +437,5 @@ class RandomForestModel:
     def predict(self, X):
         # each group's (trees, rows) walk, summed over its trees
         votes = sum(t.predict(X).reshape(t.n_trees, -1).sum(axis=0) for t in self.trees)
-        # majority vote, ties to 1
-        return (2 * votes >= self.n_trees).astype(np.int8)
+        # majority vote of the fitted trees, ties to 1
+        return (2 * votes >= sum(t.n_trees for t in self.trees)).astype(np.int8)

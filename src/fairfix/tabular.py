@@ -7,7 +7,6 @@ whitespace-stripped strings; a cell is missing iff it is empty after stripping.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import logging
@@ -413,13 +412,11 @@ class Coded(NamedTuple):
 
 class Layout:
     """An encoded matrix: its numeric columns as one float matrix, its
-    categorical features as codes. `dense`, the whole matrix, is built on
-    first use and kept, in memory order `order`: 'F' after a column
-    selection, as numpy's fancy indexing gives, for BLAS sets a product's
-    last bits by memory order."""
+    categorical features as codes. `fill` builds the whole dense matrix;
+    nothing keeps it, so it lives for the one fit or predict that asks."""
 
-    def __init__(self, numeric: np.ndarray, coded=(), order: str = "C"):
-        self.numeric, self.coded, self.order = numeric, tuple(coded), order
+    def __init__(self, numeric: np.ndarray, coded=()):
+        self.numeric, self.coded = numeric, tuple(coded)
         self.width = numeric.shape[1] + sum(len(c.lo) for c in self.coded)
         self.shape = (len(numeric), self.width)
         self.lo = np.zeros(self.width)  # each column's lo; 0 where numeric
@@ -429,19 +426,15 @@ class Layout:
             at[c.start : c.start + len(c.lo)] = False
         self.numeric_at = np.flatnonzero(at)  # the numeric columns' places
 
-    @functools.cached_property
-    def dense(self) -> np.ndarray:
-        return self.fill()
-
     def fill(self, cols=None, out=None) -> np.ndarray:
-        """A new C-contiguous matrix of the columns at sorted indices `cols`;
-        with None, of all in `order`, or the numeric matrix if none is coded.
-        With `out`, the matrix is written there."""
+        """The dense matrix of the columns at sorted indices `cols`, or of all
+        with None, written to `out` if given; else a new C-contiguous matrix,
+        or the numeric matrix itself if `cols` is None and none is coded."""
         X = self if cols is None else self.select(cols)
         if out is None:
             if not X.coded:
                 return X.numeric if cols is None else np.ascontiguousarray(X.numeric)
-            out = np.empty(X.shape, order=X.order if cols is None else "C")
+            out = np.empty(X.shape)
         out[...] = X.lo
         out[:, X.numeric_at] = X.numeric
         for c in X.coded:
@@ -454,7 +447,7 @@ class Layout:
     def rows(self, idx) -> "Layout":
         """The rows at `idx`, a slice or an index array."""
         coded = [c._replace(codes=c.codes[idx]) for c in self.coded]
-        return Layout(self.numeric[idx], coded, self.order)
+        return Layout(self.numeric[idx], coded)
 
     def select(self, cols) -> "Layout":
         """The columns at sorted indices `cols`. A row whose coded column
@@ -469,7 +462,7 @@ class Layout:
                 code[kept + 1] = np.arange(1, len(kept) + 1)
                 start = np.searchsorted(cols, c.start + kept[0])
                 coded.append(Coded(int(start), code[c.codes], c.lo[kept], c.hi[kept]))
-        return Layout(numeric, coded, "F")
+        return Layout(numeric, coded)
 
 
 @dataclass(frozen=True)
@@ -484,11 +477,6 @@ class FeatureMatrix:
     # component kind -> the component fitted on `layout`, which every later
     # train() on this matrix applies instead of fitting it again
     _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The dense float matrix, built on first use and kept."""
-        return self.layout.dense
 
 
 def encode(ds: Dataset, encoder: Encoder | None = None) -> FeatureMatrix:

@@ -218,10 +218,10 @@ def test_build_db_with_a_manifest_not_utf8_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [{"data": 5}, {"data": None}, {"schema": ["x"]}])
-def test_build_db_with_a_path_that_is_not_a_string_exits_3(corpus, tmp_path, capsys, bad):
-    row = {"data": "data.csv", "schema": "schema.json", "model": "dtree", **bad}
-    (tmp_path / "manifest.json").write_text(json.dumps([row]), encoding="utf-8")
+def build_db_exits_3(corpus, tmp_path, capsys, manifest):
+    """build-db on `manifest` beside the corpus's files exits 3 with a data
+    error, no traceback and no db file."""
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     for name in ("data.csv", "schema.json"):
         (tmp_path / name).write_bytes((corpus / name).read_bytes())
     code = main([
@@ -231,6 +231,43 @@ def test_build_db_with_a_path_that_is_not_a_string_exits_3(corpus, tmp_path, cap
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+    assert not (tmp_path / "db.json").exists()
+
+
+@pytest.mark.parametrize("bad", [{"data": 5}, {"data": None}, {"schema": ["x"]}])
+def test_build_db_with_a_path_that_is_not_a_string_exits_3(corpus, tmp_path, capsys, bad):
+    row = {"data": "data.csv", "schema": "schema.json", "model": "dtree", **bad}
+    build_db_exits_3(corpus, tmp_path, capsys, [row])
+
+
+ROW = {"data": "data.csv", "schema": "schema.json"}
+
+
+@pytest.mark.parametrize("manifest", [
+    {**ROW, "model": "dtree"},
+    [ROW],
+    [{**ROW, "model": "svm"}],
+    [{**ROW, "model": "dtree", "metric": "f1"}],
+], ids=["not-a-list", "no-model", "unknown-model", "unknown-metric"])
+def test_build_db_with_a_bad_manifest_exits_3(corpus, tmp_path, capsys, manifest):
+    build_db_exits_3(corpus, tmp_path, capsys, manifest)
+
+
+def test_a_positive_seconds_and_dev_are_accepted(corpus, tmp_path):
+    db_path = tmp_path / "db.json"
+    code = main([
+        "build-db", "--corpus", str(corpus), "--runs", "1", "--trials", "4",
+        "--dev", "0.5", "--seed", "0", "--out", str(db_path),
+    ])
+    assert code == 0
+    assert load_db(db_path).provenance["dev"] == 0.5
+    code = main([
+        "repair", "--data", str(corpus / "data.csv"),
+        "--schema", str(corpus / "schema.json"),
+        "--model", "dtree", "--metric", "spd",
+        "--trials", "4", "--seconds", "30", "--seed", "0", "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 0
 
 
 def test_missing_data_file_exits_3(corpus, tmp_path, capsys):

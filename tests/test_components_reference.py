@@ -2,13 +2,14 @@
 replaced (`reference_components.py`).
 
 For every kind, the layout path's statistics and its dense results, train
-and val, must equal the reference's bit for bit, memory order included:
-BLAS sets the last bits of a product by memory order. Statistics come from
-blocks of rows, each continuing the reduction of the blocks before it;
-numpy reduces a C-contiguous matrix at least two columns wide row by row
-but a lone column pairwise, so the blocks are checked at each edge (below
-one block, exactly one, one row past one, several) and on one-column
-layouts, numeric and coded. Codes are one or two bytes wide, and every map
+and val, must equal the reference's bit for bit. A filled matrix with coded
+columns is C-contiguous; one without is the numeric matrix itself, in the
+reference's memory order, for BLAS sets the last bits of a product by
+memory order. Statistics come from blocks of rows, each continuing the
+reduction of the blocks before it; numpy reduces a C-contiguous matrix at
+least two columns wide row by row but a lone column pairwise, so the
+blocks are checked at each edge (below one block, exactly one, one row
+past one, several) and on one-column layouts, numeric and coded. Codes are one or two bytes wide, and every map
 of a layout must give what the same layout with `intp` codes gives.
 """
 
@@ -58,6 +59,12 @@ def same_array(got, want):
     assert got.strides == want.strides  # memory order and row length
 
 
+def same_fill(X, want):
+    """X's dense matrix is `want` bit for bit: C-contiguous if X has coded
+    columns, else the numeric matrix itself, in `want`'s memory order."""
+    same_array(X.fill(), np.array(want, order="C") if X.coded else want)
+
+
 def same_statistics(fc, rfc):
     for name in ("shift", "scale", "keep"):
         got, want = getattr(fc, name), getattr(rfc, name)
@@ -74,25 +81,25 @@ def test_layout_components_equal_the_dense_reference(name, kind):
     val_fm = encode(val, fm.encoder)
     y = fm.y.astype(np.int64)
     f_pre = len(fm.encoder.feature_names)
-    rfc, RX, ry = ref.fit_component(kind, fm.values, y, f_pre)
+    rfc, RX, ry = ref.fit_component(kind, fm.layout.fill(), y, f_pre)
     fc, LX, ly = fit_component(kind, fm.layout, y, f_pre)
     same_statistics(fc, rfc)
-    same_array(LX.dense, RX)
+    same_fill(LX, RX)
     same_array(ly, ry)
-    same_array(fc.apply(val_fm.layout).dense, rfc.apply(val_fm.values))
+    same_fill(fc.apply(val_fm.layout), rfc.apply(val_fm.layout.fill()))
 
 
 @pytest.mark.parametrize("name", list(SPLITS))
 def test_filled_columns_and_rows_equal_the_dense_matrix(name):
     train, _ = SPLITS[name]
     X = encode(train).layout
-    A = X.dense
+    A = X.fill()
     rng = np.random.default_rng(0)
     cols = np.sort(rng.choice(X.shape[1], max(1, X.shape[1] // 2), replace=False))
     same_array(X.fill(cols), np.ascontiguousarray(A[:, cols]))
-    same_array(X.select(cols).dense, A[:, cols])
+    same_fill(X.select(cols), A[:, cols])
     rows = rng.integers(0, len(A), 50)
-    same_array(X.rows(rows).dense, A[rows])
+    same_fill(X.rows(rows), A[rows])
     same_array(X.rows(slice(7, 40)).fill(), A[7:40])
 
 
@@ -128,10 +135,10 @@ def test_statistics_from_row_blocks_equal_the_reference(monkeypatch, name, edge,
     n, m = X.shape
     monkeypatch.setattr(_components, "_STAT_CELLS", BLOCK_EDGES[edge](n) * m)
     y = np.arange(n) % 2
-    rfc, RX, _ = ref.fit_component(kind, X.dense, y, 2)
+    rfc, RX, _ = ref.fit_component(kind, X.fill(), y, 2)
     fc, LX, _ = fit_component(kind, X, y, 2)
     same_statistics(fc, rfc)
-    same_array(LX.dense, RX)
+    same_fill(LX, RX)
 
 
 def test_the_widths_cover_one_column_layouts():
@@ -143,8 +150,8 @@ def test_the_widths_cover_one_column_layouts():
 def test_a_numeric_only_layout_is_its_own_dense_matrix():
     numeric = np.arange(12.0).reshape(6, 2)
     X = Layout(numeric)
-    assert X.dense is numeric and X.fill() is numeric
-    assert encode(biased_dataset(300, 0.3, seed=0)).values.flags.c_contiguous
+    assert X.fill() is numeric
+    assert encode(biased_dataset(300, 0.3, seed=0)).layout.fill().flags.c_contiguous
 
 
 def adult_shaped_layout(n=31_500, seed=0):
@@ -205,9 +212,9 @@ def test_narrow_codes_map_and_fit_as_intp_codes_do():
     rows = rng.integers(0, narrow.shape[0], 500)
     same_array(narrow.fill(), wide.fill())
     same_array(narrow.fill(cols), wide.fill(cols))
-    same_array(narrow.select(cols).dense, wide.select(cols).dense)
+    same_array(narrow.select(cols).fill(), wide.select(cols).fill())
     assert [c.codes.dtype for c in narrow.select(cols).coded] == [np.uint8, np.uint8, np.uint16, np.uint8]
-    same_array(narrow.rows(rows).dense, wide.rows(rows).dense)
+    same_array(narrow.rows(rows).fill(), wide.rows(rows).fill())
     w, err = rng.normal(size=narrow.width), rng.normal(size=narrow.shape[0])
     n = narrow.shape[0]
     same_array(_Blocks(narrow).logits(w, 0.25, np.empty(n)), _Blocks(wide).logits(w, 0.25, np.empty(n)))

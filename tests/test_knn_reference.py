@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fairfix.model_zoo import _neighbors
 from fairfix.model_zoo._neighbors import KNNModel
+from fairfix.tabular import Layout
 
 
 def brute_force_predict(X_train, y_train, X, k, weights):
@@ -68,7 +69,7 @@ def test_blocked_predict_matches_brute_force(case):
     X_train, y, X, k, weights, block = case
     expected = brute_force_predict(X_train, y, X, k, weights)
     with mock.patch.object(_neighbors, "_BLOCK_VALUES", block):
-        got = KNNModel(k, weights).fit(X_train, y).predict(X)
+        got = KNNModel(k, weights).fit(Layout(X_train), y).predict(Layout(X))
     assert got.dtype == np.int8
     assert got.tobytes() == expected.tobytes()
 
@@ -77,19 +78,19 @@ def test_block_rows_follow_the_training_size():
     X_train = np.arange(40, dtype=np.float64).reshape(20, 2) % 5
     y = np.arange(20) % 2
     X = np.arange(70, dtype=np.float64).reshape(35, 2) % 4
-    model = KNNModel(3, "distance").fit(X_train, y)
+    model = KNNModel(3, "distance").fit(Layout(X_train), y)
     blocks = []
     vote = model._vote
 
-    def spy(block, sq):
+    def spy(block, A, sq):
         blocks.append(len(block))
-        return vote(block, sq)
+        return vote(block, A, sq)
 
     # 100 distances per block: 5 query rows against 20 training rows
     with mock.patch.object(_neighbors, "_BLOCK_VALUES", 100), mock.patch.object(
         model, "_vote", spy
     ):
-        got = model.predict(X)
+        got = model.predict(Layout(X))
     assert blocks == [5] * 7
     assert got.tobytes() == brute_force_predict(X_train, y, X, 3, "distance").tobytes()
 
@@ -103,6 +104,6 @@ def test_overflowing_distances_sort_last_as_in_the_brute_force():
     with np.errstate(all="ignore"):
         for k in range(1, 8):
             for weights in ("uniform", "distance"):
-                got = KNNModel(k, weights).fit(X_train, y).predict(X)
+                got = KNNModel(k, weights).fit(Layout(X_train), y).predict(Layout(X))
                 want = brute_force_predict(X_train, y, X, k, weights)
                 assert got.tolist() == want.tolist()

@@ -261,7 +261,7 @@ def mixed_ds(n, seed):
 def test_encoded_fits_predict_int8_and_repeat_bit_for_bit(algorithm, component):
     cfg = PipelineConfig(algorithm, component, default_config(algorithm).params)
     fm = encode(mixed_ds(150, seed=3))
-    assert fm.values.shape[1] > 3  # the categorical column was one-hot encoded
+    assert fm.layout.fill().shape[1] > 3  # the categorical column was one-hot encoded
     val_fm = encode(mixed_ds(60, seed=4), fm.encoder)
     first = predict(train(cfg, fm, seed=5), val_fm)
     again = predict(train(cfg, fm, seed=5), val_fm)
@@ -275,7 +275,7 @@ def test_predict_rejects_a_matrix_from_another_encoder():
     # fitted on other rows, the encoder keeps the city values in another order
     other = encode(mixed_ds(150, seed=8))
     assert other.encoder != fp.encoder
-    assert other.values.shape == fm.values.shape
+    assert other.layout.fill().shape == fm.layout.fill().shape
     with pytest.raises(ValueError, match="encoder"):
         predict(fp, other)
     probe = mixed_ds(40, seed=8)
@@ -385,7 +385,7 @@ def test_boosting_stages_monotone_training_loss():
         )
         fm = encode(ds)
         fp = train(cfg, fm, seed=7)
-        X = fp.component.apply(fm.layout).dense
+        X = fp.component.apply(fm.layout).fill()
         margin = fp.model.decision_function(X)
         y = ds.y.astype(float)
         p = 1.0 / (1.0 + np.exp(-np.clip(margin, -500, 500)))
@@ -405,7 +405,7 @@ def test_rebalance_duplicates_minority_training_rows_only():
     fc, X2, y2 = fit_component(ComponentKind.REBALANCE, Layout(X), y, f_pre=2)
     assert (y2 == 1).sum() == (y2 == 0).sum() == 9
     # appended rows are copies of the single minority row
-    assert (X2.dense[10:] == X[0]).all()
+    assert (X2.fill()[10:] == X[0]).all()
     # inference path never resamples
     Xv = Layout(np.ones((4, 2)))
     assert fc.apply(Xv) is Xv
@@ -434,13 +434,13 @@ def test_variance_topk_rule_and_selection():
 def test_standardize_and_minmax_fit_train_only():
     X = np.array([[0.0, 1.0], [10.0, 1.0]])
     fc, X2, _ = fit_component(ComponentKind.STANDARDIZE, Layout(X), np.array([0, 1]), 2)
-    assert X2.dense[:, 0].mean() == pytest.approx(0.0)
-    assert X2.dense[:, 1].tolist() == [0.0, 0.0]  # zero-spread column left finite
+    assert X2.fill()[:, 0].mean() == pytest.approx(0.0)
+    assert X2.fill()[:, 1].tolist() == [0.0, 0.0]  # zero-spread column left finite
     fc2, X3, _ = fit_component(ComponentKind.MINMAX, Layout(X), np.array([0, 1]), 2)
-    assert X3.dense[:, 0].tolist() == [0.0, 1.0]
+    assert X3.fill()[:, 0].tolist() == [0.0, 1.0]
     # validation transformed with training statistics
     out = fc2.apply(Layout(np.array([[5.0, 1.0]])))
-    assert out.dense.tolist() == [[0.5, 0.0]]
+    assert out.fill().tolist() == [[0.5, 0.0]]
 
 
 @pytest.mark.parametrize("kind", [ComponentKind.STANDARDIZE, ComponentKind.MINMAX])
@@ -449,12 +449,12 @@ def test_affine_apply_bytes_equal_the_two_temporary_expression(kind):
     X = rng.normal(0, 1e3, (200, 6))
     X[:, 5] = 7.0  # zero spread: scale 1.0
     fc, X_train, _ = fit_component(kind, Layout(X), np.zeros(200), f_pre=6)
-    assert X_train.dense.tobytes() == ((X - fc.shift) / fc.scale).tobytes()
+    assert X_train.fill().tobytes() == ((X - fc.shift) / fc.scale).tobytes()
     V = rng.normal(0, 1e3, (50, 6))
     V[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
     V[1, :2] = [1e308, -1e308]
     with np.errstate(invalid="ignore", over="ignore"):
-        out = fc.apply(Layout(V)).dense
+        out = fc.apply(Layout(V)).fill()
         expected = (V - fc.shift) / fc.scale
     assert out.dtype == np.float64 and out.flags.c_contiguous
     assert out.tobytes() == expected.tobytes()

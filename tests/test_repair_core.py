@@ -1,9 +1,11 @@
 """Cost algebra, greedy weight identifier, and the repair orchestration."""
 
 import functools
+import gc
 import hashlib
 import json
 import math
+import types
 import weakref
 
 import numpy as np
@@ -21,6 +23,7 @@ from fairfix.model_zoo import (
     default_space,
     sample,
 )
+from fairfix.model_zoo._linear import MIN_BLOCK
 from fairfix.prune_db import BuildConfig, Database, build_entry
 from fairfix.repair_core import (
     EPSILON,
@@ -543,50 +546,100 @@ CATEGORICAL_LOGREG_DIGEST = "f2b8a1953d92d14d"
 
 def test_categorical_logreg_trial_log_digest_is_pinned():
     ds = categorical_ds(1500, seed=4)
-    assert encode(ds).values.shape[1] == 2 + 4 + 5 + 3
+    assert encode(ds).layout.fill().shape[1] == 2 + 4 + 5 + 3
     cfg = RepairConfig(metric=MetricKind.EOD, trials=11, seed=3)
     log = repair(ds, AlgorithmKind.LOGISTIC_REGRESSION, cfg).log
     assert log.digest() == CATEGORICAL_LOGREG_DIGEST
 
 
-def test_logreg_never_builds_a_dense_matrix_and_dtree_one_per_split(monkeypatch):
-    ds = categorical_ds(1500, seed=4)
-    train_ds, val_ds = split(ds, 0.7, seed=0)
+def coded_split():
+    """categorical_ds's split, encoded as a repair encodes it."""
+    train_ds, val_ds = split(categorical_ds(1500, seed=4), 0.7, seed=0)
     train_fm = encode(train_ds)
-    val_fm = encode(val_ds, train_fm.encoder)
-    assert all(len(c.lo) >= 3 for c in train_fm.layout.coded)  # three blocks
+    return train_fm, encode(val_ds, train_fm.encoder)
 
-    def refuse(layout):
-        raise AssertionError(f"a dense {layout.shape} matrix was built")
 
-    # logistic regression fits and predicts by code, and never asks for a
-    # whole dense matrix
-    monkeypatch.setattr(Layout, "dense", property(refuse))
+def test_logreg_fills_no_one_hot_block_and_dtree_once_per_call(monkeypatch):
+    train_fm, val_fm = coded_split()
+    assert all(len(c.lo) >= MIN_BLOCK for c in train_fm.layout.coded)  # three blocks
+    filled = []
+    fill = Layout.fill
+
+    def spy(layout, cols=None, out=None):
+        if cols is None and out is None:  # the whole matrix, not a row block
+            filled.append(layout)
+        return fill(layout, cols, out)
+
+    monkeypatch.setattr(Layout, "fill", spy)
+    # logistic regression reads its one-hot blocks by code; it fills a whole
+    # matrix only of a layout with no block, as a VarianceTopK selection of
+    # one column of a feature leaves
     logreg = AlgorithmKind.LOGISTIC_REGRESSION
     for component in model_zoo.ComponentKind:
         cfg = model_zoo.PipelineConfig(logreg, component, default_config(logreg).params)
         model_zoo.predict(model_zoo.train(cfg, train_fm, seed=0), val_fm)
-    repair(ds, logreg, RepairConfig(metric=MetricKind.EOD, trials=6, seed=0))
-    monkeypatch.undo()
+    repair(categorical_ds(1500, seed=4), logreg, RepairConfig(metric=MetricKind.EOD, trials=6, seed=0))
+    assert all(len(c.lo) < MIN_BLOCK for X in filled for c in X.coded)
+    assert all(X.width < train_fm.layout.width for X in filled)
+    filled.clear()
 
-    # a tree reads the dense matrix, built once per split and then kept
-    built = []
-    fill = Layout.fill
-
-    def spy(layout, cols=None):
-        if cols is None:
-            built.append(id(layout))
-        return fill(layout, cols)
-
-    monkeypatch.setattr(Layout, "fill", spy)
+    # a tree fills the dense matrix once per fit and once per predict
     dtree = default_config(AlgorithmKind.DECISION_TREE)
     assert dtree.component is model_zoo.ComponentKind.NONE
     for _ in range(2):
         fp = model_zoo.train(dtree, train_fm, seed=0)
+        assert filled == [train_fm.layout]
         model_zoo.predict(fp, val_fm)
         model_zoo.predict(fp, train_fm)
-    assert sorted(built) == sorted([id(train_fm.layout), id(val_fm.layout)])
-    assert train_fm.values is train_fm.layout.dense
+        assert filled == [train_fm.layout, val_fm.layout, train_fm.layout]
+        filled.clear()
+
+
+def reachable_arrays(root):
+    """Every numpy array reachable from `root` through objects' attributes
+    and containers, and every Layout among those objects."""
+    arrays, layouts, seen, stack = [], [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+            continue
+        if isinstance(obj, Layout):
+            layouts.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return arrays, layouts
+
+
+def dense_arrays(root, shapes):
+    """The arrays reachable from `root` of a shape in `shapes` or of the
+    whole shape of a reachable layout with coded columns."""
+    arrays, layouts = reachable_arrays(root)
+    shapes = {*shapes, *(X.shape for X in layouts if X.coded)}
+    return [a.shape for a in arrays if a.ndim == 2 and a.shape in shapes]
+
+
+def test_no_split_model_or_repair_keeps_a_dense_matrix():
+    train_fm, val_fm = coded_split()
+    shapes = {train_fm.layout.shape, val_fm.layout.shape}
+    fitted = []
+    for algorithm in (AlgorithmKind.DECISION_TREE, AlgorithmKind.KNN):
+        params = default_config(algorithm).params
+        for component in model_zoo.ComponentKind:
+            cfg = model_zoo.PipelineConfig(algorithm, component, params)
+            fp = model_zoo.train(cfg, train_fm, seed=0)
+            model_zoo.predict(fp, val_fm)
+            fitted.append(fp)
+    assert dense_arrays((train_fm, val_fm, fitted), shapes) == []
+    # a k-NN pipeline keeps its training layout, not a dense copy
+    assert fitted[-len(model_zoo.ComponentKind)].model.X is train_fm.layout
+    for algorithm in (AlgorithmKind.DECISION_TREE, AlgorithmKind.KNN):
+        cfg = RepairConfig(metric=MetricKind.EOD, trials=6, seed=0)
+        result = repair(categorical_ds(1500, seed=4), algorithm, cfg)
+        assert dense_arrays(result, shapes) == []
 
 
 # 25 trials reach the surrogate; a db entry built at that input sets a pruned

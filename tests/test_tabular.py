@@ -209,7 +209,7 @@ def test_encode_one_hot_first_appearance(tmp_path):
     ds = load_csv(write_toy(tmp_path, text), TOY_SCHEMA)
     fm = encode(ds)
     assert fm.encoder.categories == {"city": ("york", "leeds", "paris")}
-    assert fm.values.tolist() == [
+    assert fm.layout.fill().tolist() == [
         [1, 0, 0],
         [0, 1, 0],
         [1, 0, 0],
@@ -220,10 +220,10 @@ def test_encode_one_hot_first_appearance(tmp_path):
 def test_encode_numeric_passthrough():
     ds = make_dataset(8)
     fm = encode(ds)
-    assert fm.values.shape == (8, 3)
-    assert fm.values.tolist() == [[float(v) for v in row] for row in ds.cells]
+    assert fm.layout.fill().shape == (8, 3)
+    assert fm.layout.fill().tolist() == [[float(v) for v in row] for row in ds.cells]
     # idempotence: encoding the numeric matrix again changes nothing
-    assert encode(ds).values.tolist() == fm.values.tolist()
+    assert encode(ds).layout.fill().tolist() == fm.layout.fill().tolist()
 
 
 def test_encode_mixed_width(tmp_path):
@@ -235,7 +235,7 @@ def test_encode_mixed_width(tmp_path):
     )
     ds = load_csv(write_toy(tmp_path, text), TOY_SCHEMA)
     fm = encode(ds)
-    assert fm.values.shape == (3, 5)  # 2 numeric + 3 one-hot
+    assert fm.layout.fill().shape == (3, 5)  # 2 numeric + 3 one-hot
 
 
 def test_unseen_category_maps_to_zero_block(tmp_path):
@@ -251,7 +251,7 @@ def test_unseen_category_maps_to_zero_block(tmp_path):
         allow_degenerate=True,
     )
     out = fm.encoder.transform(probe)
-    assert out.dense.tolist() == [[0.0, 0.0]]
+    assert out.fill().tolist() == [[0.0, 0.0]]
 
 
 def test_categorical_override_forces_one_hot(tmp_path):
@@ -304,12 +304,12 @@ def test_digests_and_encoded_bytes_are_pinned():
     fm = encode(train)
     out = fm.encoder.transform(val)
     assert fm.encoder.kinds == ("numeric", "numeric", "categorical", "categorical", "categorical")
-    assert fm.values.shape == (300, 23) and out.shape == (100, 23)
-    assert fm.values.dtype == out.dense.dtype == np.float64
-    assert fm.values.flags.c_contiguous and out.dense.flags.c_contiguous
+    assert fm.layout.fill().shape == (300, 23) and out.shape == (100, 23)
+    assert fm.layout.fill().dtype == out.fill().dtype == np.float64
+    assert fm.layout.fill().flags.c_contiguous and out.fill().flags.c_contiguous
     sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()[:16]  # noqa: E731
     assert (train.digest(), val.digest()) == ("306df09a24e15056", "864ec3e83b9d6a1f")
-    assert (sha(fm.values), sha(out.dense)) == ("d272656e105e9866", "8a891d562b5b32be")
+    assert (sha(fm.layout.fill()), sha(out.fill())) == ("d272656e105e9866", "8a891d562b5b32be")
 
 
 def one_shot_digest(ds):
@@ -452,7 +452,7 @@ def test_each_numeric_train_cell_is_parsed_once(monkeypatch):
     fm = encode(train)
     fm.encoder.transform(val)
     # age and hours, parsed in fit; the train transform reuses the floats
-    assert parsed == [fm.values[:, 0].tolist(), fm.values[:, 1].tolist()]
+    assert parsed == [fm.layout.fill()[:, 0].tolist(), fm.layout.fill()[:, 1].tolist()]
 
 
 def test_a_fitted_encoder_holds_no_cells():
@@ -474,7 +474,7 @@ def with_cell(ds, row, col, value):
 
 def test_a_stray_cell_in_a_numeric_column_is_a_data_error():
     ds = biased_dataset(2000, 0.3, seed=0)
-    assert encode(ds).values.shape == (2000, 2)
+    assert encode(ds).layout.fill().shape == (2000, 2)
     stray = with_cell(ds, 1234, 0, "NA")
     with pytest.raises(DataError, match=r"column 'x1'.*'NA'.*'drop' or 'categorical'"):
         encode(stray)

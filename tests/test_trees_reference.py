@@ -85,6 +85,13 @@ def forest_trees(forest):
     return [(group, t) for group in forest.trees for t in range(group.n_trees)]
 
 
+def fitted_trees(forest, d):
+    """How many trees a forest fits on d columns: one when its trees draw
+    neither rows nor features, as every tree would grow the same."""
+    mf = forest._feature_count(d)
+    return forest.n_trees if forest.bootstrap or (mf is not None and mf < d) else 1
+
+
 def draw_targets(data, kind, n):
     if kind == "integer":
         values = st.integers(-3, 3).map(float)
@@ -152,7 +159,10 @@ def test_forest_matches_reference(X, data, max_features, bootstrap, seed):
     seeds_only = np.random.default_rng(seed)
     seeds_only.integers(2**63, size=4)
     assert new_rng.bit_generator.state == seeds_only.bit_generator.state
-    for (group, t), b in zip(forest_trees(new), old.trees, strict=True):
+    trees = forest_trees(new)
+    assert len(trees) == fitted_trees(new, X.shape[1])
+    # a forest that draws nothing fits one tree, which each reference tree is
+    for (group, t), b in zip(trees * (4 // len(trees)), old.trees, strict=True):
         assert_same_tree(group, b, X, root=t)
     P = probe_rows(X)
     assert new.predict(P).tobytes() == ref.forest_predict(old, P).tobytes()
@@ -179,7 +189,8 @@ def test_a_stacked_forest_equals_its_trees_fitted_one_at_a_time(
         with mock.patch.object(_trees, "_BLOCK_CELLS", cells):
             forests.append(RandomForestModel(*args).fit(X, y, np.random.default_rng(seed)))
     alone, stacked = forests
-    assert len(alone.trees) == 7 and len(stacked.trees) == 1
+    n = fitted_trees(alone, X.shape[1])
+    assert len(alone.trees) == n and len(stacked.trees) == 1 and stacked.trees[0].n_trees == n
     for (group, t), (tree, _) in zip(forest_trees(stacked), forest_trees(alone), strict=True):
         assert_same_structure(structure(group, t), structure(tree))
     P = probe_rows(X)
@@ -200,12 +211,16 @@ def test_a_forest_is_a_prefix_of_a_larger_one(max_features, bootstrap):
     y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.0, 1000) > 0).astype(np.int8)
     args = (6, max_features, 2, bootstrap)
     full = RandomForestModel(30, *args).fit(X, y, np.random.default_rng(9))
-    assert [g.n_trees for g in full.trees] == [13, 13, 4]
+    trees = forest_trees(full)
+    # a forest that draws nothing fits one tree, which votes for all 30
+    one = fitted_trees(full, 4) == 1
+    assert [g.n_trees for g in full.trees] == ([1] if one else [13, 13, 4])
     P = rng.normal(size=(300, 4))
-    votes = np.cumsum([predict_tree(g, t, P) for g, t in forest_trees(full)], axis=0)
+    votes = np.cumsum([predict_tree(g, t, P) for g, t in trees] * (30 // len(trees)), axis=0)
     for k in (1, 5, 12):
         part = RandomForestModel(k, *args).fit(X, y, np.random.default_rng(9))
-        pairs = zip(forest_trees(part), forest_trees(full)[:k])
+        assert len(forest_trees(part)) == (1 if one else k)
+        pairs = zip(forest_trees(part), trees[:k])
         for (group, t), (big, u) in pairs:
             assert_same_structure(structure(group, t), structure(big, u))
         assert part.predict(P).tobytes() == (2 * votes[k - 1] >= k).astype(np.int8).tobytes()
