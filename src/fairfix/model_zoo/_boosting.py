@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ._linear import NumericOverflow, sigmoid
-from ._trees import RegressionTree, _presort, _presort_rows
+from ._trees import RegressionTree, _presort
 from ..tabular import round_half_up
 
 _LEAF_CLIP = 10.0
@@ -23,7 +23,7 @@ class GradientBoostingModel:
         self.trees = []
 
     def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n = len(y)
         prior = min(max(y.mean(), 1e-6), 1.0 - 1e-6)
@@ -31,21 +31,21 @@ class GradientBoostingModel:
         self.trees = []
         F = np.full(n, self.f0)
         m = max(1, round_half_up(self.subsample * n))
-        # X is sorted once; each stage's presort is that order kept to the
-        # stage's rows, as in XGBoost's exact greedy split finding
+        # X is sorted once; each stage grows on X itself, from that order
+        # kept to the stage's rows, as in XGBoost's exact greedy split finding
         order = _presort(X, 1)
         for _ in range(self.stages):
             prob = sigmoid(F)
-            resid = y - prob
             if self.subsample < 1.0:
-                rows = np.sort(rng.choice(n, size=m, replace=False))
+                taken = np.zeros(n, dtype=bool)
+                taken[rng.choice(n, size=m, replace=False)] = True
+                stage = order[taken[order]].reshape(len(order), m)
             else:
-                rows = np.arange(n)
+                stage = order.copy()
             # each leaf takes one Newton step on the logistic loss over its
             # rows: the sum of their residuals over the sum of their Hessians
-            hess = prob[rows] * (1.0 - prob[rows])
             tree = RegressionTree(self.max_depth, min_leaf=1).fit(
-                X[rows], resid[rows], weight=hess, order=_presort_rows(order, rows)
+                X, y - prob, weight=prob * (1.0 - prob), order=stage
             )
             np.clip(tree.value, -_LEAF_CLIP, _LEAF_CLIP, out=tree.value)
             F = F + self.learning_rate * tree.predict(X)

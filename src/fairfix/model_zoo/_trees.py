@@ -6,12 +6,13 @@ order, then to the first cut. Each feature is sorted once at the root, and
 at every depth a stable regroup by node keeps each node's rows sorted by
 value, equal values in ascending row order. All frontier nodes of a depth
 are scored together as rows of padded (nodes, features, rows) blocks. One
-fit can grow several trees, one per equal block of rows, or start from a
-presort it is given (a boosting stage keeps its model's to its rows). A
-fitted tree is a set of flat per-node arrays, numbered level by level, that
-`predict` walks one depth at a time. A tree that draws candidate features
-draws them from its own generator, at each split node in node order, so a
-forest's independent trees grow a group at a time in stacked fits.
+fit can grow several trees, one per equal block of rows, or grow on the
+rows a given presort lists (a boosting stage keeps its model's to its
+rows). A fitted tree is a set of flat per-node arrays, numbered level by
+level, that `predict` walks one depth at a time. A tree that draws
+candidate features draws them from its own generator, at each split node
+in node order, so a forest's independent trees grow a group at a time in
+stacked fits.
 
 Sums that decide a split or a leaf value are numpy's own sums of a node's
 rows in sort order, or a leaf's rows in row order, each taken at that row's
@@ -206,16 +207,6 @@ def _presort(X, trees):
     return order
 
 
-def _presort_rows(order, rows):
-    """`_presort(X[rows], 1)` from X's own presort `order`, for ascending
-    `rows`: each row of `order` keeps the rows taken, in its order, each
-    renumbered to its index in `rows`."""
-    taken = np.zeros(order.shape[1], dtype=bool)
-    taken[rows] = True
-    index = (taken.cumsum() - 1).astype(order.dtype)
-    return index[order[taken[order]].reshape(len(order), len(rows))]
-
-
 def _regroup(order, M, side, lefts, rights):
     """Regroup, within `order`, the first M places of each row: rows on
     side 0 first, then rows on side 1, each in their current order; rows on
@@ -256,10 +247,14 @@ class _Tree:
         """Grow `trees` trees, tree t on the t-th of `trees` equal blocks of
         rows of (X, target, weight); generator `rng[t]` draws `max_features`
         candidate features at each split node of tree t, in node order.
-        `order`, if given, is `_presort(X, trees)`, and the fit overwrites it."""
+        `order`, if given, lists the rows to grow on, named by X's row
+        numbers: each feature's presort of those rows, then the same rows in
+        ascending order, as `_presort(X, 1)` restricted to them. The fit
+        overwrites it. Without it, the fit grows on all of X's rows."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
-        N, d = X.shape
+        d = X.shape[1]
+        N = len(X) if order is None else order.shape[1]
         if N % trees:
             raise ValueError(f"{N} rows do not make {trees} equal blocks")
         self.n_trees = trees
@@ -272,7 +267,7 @@ class _Tree:
         M = N
         starts = np.arange(trees) * (N // trees)
         sizes = np.full(trees, N // trees)
-        side = np.empty(N, dtype=np.uint8)  # 0 left, 1 right, 2 in a leaf
+        side = np.empty(len(X), dtype=np.uint8)  # 0 left, 1 right, 2 in a leaf
         tree_of = np.arange(trees)  # each node's tree, kept while drawing
         levels = []
         leaves = []  # (rows, ids, row counts) of each level's leaves

@@ -1,6 +1,7 @@
 """Spaces, sampling, native classifiers, and component behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fairfix.model_zoo import (
     train,
 )
 from fairfix.model_zoo._components import fit_component
+from fairfix.model_zoo._neighbors import KNNModel
 from fairfix.tabular import Dataset, Layout, encode, round_half_up
 
 
@@ -291,6 +293,24 @@ def test_knn_k1_reproduces_training_labels():
     )
     fm = encode(ds)
     assert predict(train(cfg, fm, seed=0), fm).tolist() == ds.y.tolist()
+
+
+def test_knn_predict_stays_within_its_block_footprint():
+    """`_neighbors._BLOCK_VALUES` states predict's peak beyond its filled
+    matrices: under 30 MB however many query rows. A numeric layout fills
+    to its own matrix, so everything traced is predict's."""
+    rng = np.random.default_rng(0)
+    train_layout = Layout(rng.normal(size=(30_000, 4)))
+    query = Layout(rng.normal(size=(300, 4)))
+    model = KNNModel(5, "uniform").fit(train_layout, rng.integers(0, 2, 30_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.predict(query)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_unseen_category_row_still_predicts():

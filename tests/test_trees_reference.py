@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_trees as ref
@@ -405,19 +405,61 @@ def test_presort_is_a_stable_sort(rows, cols, trees, levels, seed):
     cols=st.integers(1, 4),
     share=st.floats(0.0, 1.0),
     levels=st.sampled_from([2, 5, 1000]),
+    max_depth=st.integers(1, 6),
+    min_leaf=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_presort_rows_is_the_presort_of_the_rows(rows, cols, share, levels, seed):
-    """A boosting stage's presort, kept from the whole matrix's, equals
-    sorting the stage's own rows."""
+# a one-row matrix, and one row kept of many
+@example(rows=1, cols=2, share=1.0, levels=2, max_depth=3, min_leaf=1, seed=0)
+@example(rows=40, cols=3, share=0.0, levels=5, max_depth=3, min_leaf=1, seed=0)
+def test_a_tree_grown_on_kept_rows_equals_one_grown_on_their_copy(
+    rows, cols, share, levels, max_depth, min_leaf, seed
+):
+    """A boosting stage's tree: grown on the whole matrix from its presort
+    kept to some rows, it is the tree grown on a copy of those rows. Ties
+    (including -0.0 against 0.0, and NaNs) keep their order either way."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(rows, cols)).astype(np.float64)
     X[rng.random(X.shape) < 0.1] = np.nan
-    taken = np.flatnonzero(rng.random(rows) < share)
-    if not taken.size:
-        taken = np.array([rows - 1])
-    got = _trees._presort_rows(_trees._presort(X, 1), taken)
-    assert got.tolist() == _trees._presort(X[taken], 1).tolist()
+    X[X == 0.0] = rng.choice([0.0, -0.0], size=int((X == 0.0).sum()))
+    target = rng.normal(size=rows)
+    weight = rng.random(rows)
+    taken = rng.random(rows) < share
+    if not taken.any():
+        taken[rng.integers(rows)] = True
+    m = int(taken.sum())
+    order = _trees._presort(X, 1)
+    kept = order[taken[order]].reshape(len(order), m)
+    got = RegressionTree(max_depth, min_leaf).fit(X, target, weight=weight, order=kept)
+    want = RegressionTree(max_depth, min_leaf).fit(X[taken], target[taken], weight=weight[taken])
+    for name in ("feature", "threshold", "value", "left", "right"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    P = np.vstack([probe_rows(np.nan_to_num(X)), X])
+    assert got.predict(P).tobytes() == want.predict(P).tobytes()
+
+
+@pytest.mark.parametrize("subsample", [0.6, 1.0])
+@pytest.mark.parametrize("memory_order", ["C", "F"])
+def test_every_stage_grows_on_the_models_matrix(subsample, memory_order):
+    """Each stage fit gets the one C-contiguous matrix the model fits (the
+    caller's own when it is one) and the presort of its m rows."""
+    rng = np.random.default_rng(4)
+    X = np.asarray(rng.normal(size=(150, 3)), order=memory_order)
+    y = (X[:, 0] > 0).astype(np.int8)
+    calls = []
+    real_fit = RegressionTree.fit
+
+    def fit_spy(tree, X, target, weight=None, order=None):
+        calls.append((X, order.shape))
+        return real_fit(tree, X, target, weight=weight, order=order)
+
+    with mock.patch.object(RegressionTree, "fit", fit_spy):
+        GradientBoostingModel(5, 0.3, 3, subsample).fit(X, y, np.random.default_rng(0))
+    m = round(subsample * 150)
+    assert len(calls) == 5
+    assert all(seen is calls[0][0] and shape == (4, m) for seen, shape in calls)
+    assert calls[0][0].flags.c_contiguous
+    assert (calls[0][0] is X) == (memory_order == "C")
 
 
 @settings(max_examples=200, deadline=None)
