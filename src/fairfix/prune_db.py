@@ -51,7 +51,7 @@ def prune_numeric(values, dev: float = 1.0):
     values = list(values)
     if not values:
         raise ValueError("values must be non-empty")
-    if dev <= 0:
+    if not dev > 0:
         raise ValueError("dev must be positive")
     n = len(values)
     mean = math.fsum(values) / n
@@ -208,9 +208,10 @@ class BuildConfig:
     metric: MetricKind = MetricKind.SPD
 
     def __post_init__(self):
-        if min(self.runs, self.trials, self.top_k, self.top_m) < 1:
-            raise ValueError("runs, trials, top_k, top_m must all be >= 1")
-        if self.dev <= 0:
+        repair_core.check_counts(
+            runs=self.runs, trials=self.trials, top_k=self.top_k, top_m=self.top_m
+        )
+        if not self.dev > 0:
             raise ValueError("dev must be positive")
 
     def provenance(self, seed) -> dict:

@@ -12,6 +12,7 @@ improving and freezes it after a patience run of misses.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -129,6 +130,13 @@ def greedy_update(s: BetaState, improved: bool) -> BetaState:
     return s
 
 
+def check_counts(**counts) -> None:
+    """ValueError unless each value is an integer >= 1; a bool is not."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RepairConfig:
     metric: MetricKind
@@ -137,9 +145,8 @@ class RepairConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seconds is not None and self.seconds <= 0:
+        check_counts(trials=self.trials)
+        if self.seconds is not None and not self.seconds > 0:
             raise ValueError("seconds must be positive when given")
 
 
@@ -213,22 +220,17 @@ class _TrialObjective:
     matrix; no cell is re-parsed. Training reseeds from `seed`, so a config
     always ends the same way: each outcome, a score or the exception of a
     failed trial, is kept under the config's canonical JSON, and a repeated
-    config is looked up, not refitted.
-
-    Of the pipelines it fits, the objective keeps one: that of the trial
-    best at `beta_fn()`, the weight the trial's cost is logged at. A later
-    fit replaces it only by costing strictly less, as the earliest of
-    equal-cost trials wins `smbo.best`.
+    config is looked up, not refitted. `fitted` is the pipeline the last
+    call fitted, None when that call looked its outcome up or failed.
     """
 
-    def __init__(self, train_fm, val_fm, kind, seed, beta_fn):
+    def __init__(self, train_fm, val_fm, kind, seed):
         self.train_fm = train_fm
         self.val_fm = val_fm
         self.kind = kind
         self.seed = seed
-        self.beta_fn = beta_fn
         self.outcomes = {}
-        self.kept = None  # (pipeline, bias, accuracy)
+        self.fitted = None
 
     def score(self, fp: FittedPipeline):
         val = self.val_fm
@@ -239,32 +241,21 @@ class _TrialObjective:
         return acc, bias
 
     def __call__(self, cfg: PipelineConfig):
+        self.fitted = None
         key = _config_key(cfg)
         if key not in self.outcomes:
             try:
                 fp = train(cfg, self.train_fm, seed=self.seed)
-                acc, bias = self.score(fp)
+                self.score(fp)
             except smbo.FAILED_TRIAL_CAUSES as exc:
                 self.outcomes[key] = exc
             else:
-                self._keep(fp, bias, acc)
+                self.fitted = fp
         known = self.outcomes[key]
         if isinstance(known, Exception):
             # raised without its traceback, which holds the failed fit's arrays
             raise known.with_traceback(None)
         return known
-
-    def _keep(self, fp: FittedPipeline, bias: float, acc: float):
-        beta = self.beta_fn()
-        cost = smbo.trial_cost(beta, bias, acc)
-        if self.kept is None or cost < smbo.trial_cost(beta, *self.kept[1:]):
-            self.kept = fp, bias, acc
-
-    def pipeline(self, cfg: PipelineConfig):
-        """The kept pipeline if it was fitted for `cfg`, else None."""
-        if self.kept is not None and self.kept[0].config == cfg:
-            return self.kept[0]
-        return None
 
 
 def _config_key(cfg: PipelineConfig) -> str:
@@ -305,17 +296,16 @@ def repair(
     The split is encoded once; every trial, the buggy model's score and the
     mutation baseline use those matrices. The buggy model is the algorithm's
     default configuration; it is fitted once and its outcome is logged as
-    trial 0. No configuration is fitted twice: the winner is returned as its
-    trial fitted it, and refitted only when β has moved the win to a trial
-    whose pipeline the objective dropped. When a database is given and an
-    entry matches this input, the search uses that entry's pruned space
-    instead of the default one.
+    trial 0. No configuration is fitted twice: as trials are logged, the
+    search keeps the pipeline of the fitted trial that `smbo.ranking` puts
+    first at that trial's β. The winner at the final β is returned as its
+    trial fitted it, and refitted only when β has moved the win away from
+    the kept trial. When a database is given and an entry matches this
+    input, the search uses that entry's pruned space instead of the default
+    one.
     """
     train_fm, val_fm, buggy = fit_buggy(ds, algorithm, cfg.seed)
-    state = None  # set from the buggy model's score, before any trial runs
-    objective = _TrialObjective(
-        train_fm, val_fm, cfg.metric, cfg.seed, lambda: state.beta
-    )
+    objective = _TrialObjective(train_fm, val_fm, cfg.metric, cfg.seed)
     a1, f1 = objective.score(buggy)  # trial 0 reuses this outcome
     a0 = pseudo_accuracy(val_fm.y)
     if f1 < FAIRNESS_TOLERANCE:
@@ -331,8 +321,14 @@ def repair(
         if entry is not None:
             space = entry.space()
 
+    kept = None  # (record, pipeline) of the fitted trial ranked first so far
+
     def on_trial(record):
-        nonlocal state
+        nonlocal state, kept
+        if objective.fitted is not None:
+            rank = smbo.ranking(record.beta)
+            if kept is None or rank(record) < rank(kept[0]):
+                kept = record, objective.fitted
         improved = (
             record.status == "ok"
             and record.cost < pseudo_cost(record.beta, a0)
@@ -345,7 +341,7 @@ def repair(
         space,
         cfg.trials,
         cfg.seed,
-        beta_fn=objective.beta_fn,
+        beta_fn=lambda: state.beta,
         on_trial=on_trial,
         initial=buggy.config,
         deadline=deadline,
@@ -353,9 +349,9 @@ def repair(
     best_config = smbo.best(log, state.beta).config
     if best_config == buggy.config:
         pipeline = buggy
-    else:
-        pipeline = objective.pipeline(best_config)
-    if pipeline is None:  # β moved the win to a trial whose fit was dropped
+    elif kept is not None and kept[0].config == best_config:
+        pipeline = kept[1]
+    else:  # β moved the win to a trial whose fit was not kept
         # bitwise-identical to the logged trial's fit: same seed, same split
         pipeline = train(best_config, train_fm, seed=cfg.seed)
     baseline = build_baseline(buggy, val_fm, cfg.metric, seed=cfg.seed)

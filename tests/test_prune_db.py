@@ -68,6 +68,20 @@ def test_prune_validation():
         prune_numeric([])
     with pytest.raises(ValueError):
         prune_numeric([1, 2], dev=0.0)
+    with pytest.raises(ValueError):  # not pruning switched off
+        prune_numeric([1, 2, 3, 100], dev=float("nan"))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dev", float("nan")),
+    ("runs", 1.5),
+    ("trials", 2.5),
+    ("top_k", True),
+    ("top_m", 3.0),
+])
+def test_build_config_rejects_nan_and_non_integer_counts(name, value):
+    with pytest.raises(ValueError):
+        BuildConfig(**{name: value})
 
 
 def test_pruned_range_within_observed():

@@ -168,6 +168,17 @@ def test_initial_state_starts_at_the_bound():
         initial_beta_state(0.85, 0.75, 0.10, patience=0)
 
 
+@pytest.mark.parametrize("trials, seconds", [
+    (3, math.nan),
+    (2.5, None),
+    (3.0, None),
+    (True, None),
+])
+def test_repair_config_rejects_nan_seconds_and_non_integer_trials(trials, seconds):
+    with pytest.raises(ValueError):
+        RepairConfig(MetricKind.SPD, trials, seconds=seconds)
+
+
 def test_greedy_trace_properties():
     # randomized long traces: monotone rise, single drop at freeze, then flat
     for seed in range(50):
@@ -305,7 +316,7 @@ def test_objective_scores_like_train_and_predict_and_reuses_outcomes(monkeypatch
     train_ds, val_ds = split(biased_dataset(rows=400, seed=4), 0.7, 0)
     train_fm = encode(train_ds)
     val_fm = encode(val_ds, train_fm.encoder)
-    objective = repair_core._TrialObjective(train_fm, val_fm, MetricKind.SPD, 3, lambda: 0.5)
+    objective = repair_core._TrialObjective(train_fm, val_fm, MetricKind.SPD, 3)
     space = default_space(AlgorithmKind.LOGISTIC_REGRESSION)
     cfg = decode_config(sample(space, np.random.default_rng(1)), space)
     yhat = model_zoo.predict(model_zoo.train(cfg, train_fm, seed=3), val_fm)
@@ -396,8 +407,9 @@ def distinct_configs(log):
     return {repair_core._config_key(r.config) for r in log.records}
 
 
-def test_a_failed_config_is_trained_once_and_fails_the_same_way(monkeypatch):
-    # a column near 1e300 overflows logreg's logits in its second epoch
+def huge_objective():
+    """An objective over one column near 1e300, which overflows logreg's
+    logits in its second epoch."""
     rng = np.random.default_rng(0)
     n = 200
     y = np.array([0, 1] * (n // 2), dtype=np.int8)
@@ -405,9 +417,13 @@ def test_a_failed_config_is_trained_once_and_fails_the_same_way(monkeypatch):
     cells = np.array([[repr(float(v) * 1e300)] for v in rng.uniform(1, 2, n)], dtype=object)
     train_ds, val_ds = split(Dataset(("x",), cells, y, z, {"source": "huge"}), 0.7, 0)
     train_fm = encode(train_ds)
-    objective = repair_core._TrialObjective(
-        train_fm, encode(val_ds, train_fm.encoder), MetricKind.SPD, 0, lambda: 0.5
+    return repair_core._TrialObjective(
+        train_fm, encode(val_ds, train_fm.encoder), MetricKind.SPD, 0
     )
+
+
+def test_a_failed_config_is_trained_once_and_fails_the_same_way(monkeypatch):
+    objective = huge_objective()
     cfg = default_config(AlgorithmKind.LOGISTIC_REGRESSION)
     assert cfg.component is model_zoo.ComponentKind.NONE
     fits = counting_train(monkeypatch)
@@ -416,7 +432,25 @@ def test_a_failed_config_is_trained_once_and_fails_the_same_way(monkeypatch):
     assert [o[:4] for o in outcomes] == [
         ("failed", None, None, "NumericOverflow: logits overflowed during training")
     ] * 2
-    assert objective.kept is None
+    assert objective.fitted is None
+
+
+def test_fitted_is_the_pipeline_of_the_last_call_that_fitted():
+    objective = huge_objective()
+    dtree = default_config(AlgorithmKind.DECISION_TREE)
+    shallow = model_zoo.PipelineConfig(dtree.algorithm, dtree.component,
+                                       {**dtree.params, "max_depth": 2})
+    logreg = default_config(AlgorithmKind.LOGISTIC_REGRESSION)
+    objective(dtree)
+    assert isinstance(objective.fitted, model_zoo.FittedPipeline)
+    assert objective.fitted.config == dtree
+    objective(dtree)  # looked up, not fitted
+    assert objective.fitted is None
+    objective(shallow)
+    assert objective.fitted.config == shallow
+    with pytest.raises(smbo.FAILED_TRIAL_CAUSES):
+        objective(logreg)
+    assert objective.fitted is None
 
 
 def test_a_searched_winner_is_returned_as_fitted(monkeypatch):
@@ -433,12 +467,19 @@ def test_the_winner_is_refitted_when_its_pipeline_was_dropped(monkeypatch):
     ds = biased_dataset(600, 0.3, seed=0)
     cfg = RepairConfig(metric=MetricKind.EOD, trials=40, seed=0)
     want = repair(ds, AlgorithmKind.DECISION_TREE, cfg)
+    call = repair_core._TrialObjective.__call__
+    shown = []
 
-    def keep_first(self, fp, bias, acc):
-        if self.kept is None:
-            self.kept = fp, bias, acc
+    def show_first_fit_only(self, cfg):
+        # repair() sees the first fitted pipeline only, so it keeps that one
+        outcome = call(self, cfg)
+        if self.fitted is not None:
+            shown.append(cfg)
+            if len(shown) > 1:
+                self.fitted = None
+        return outcome
 
-    monkeypatch.setattr(repair_core._TrialObjective, "_keep", keep_first)
+    monkeypatch.setattr(repair_core._TrialObjective, "__call__", show_first_fit_only)
     fits = counting_train(monkeypatch)
     res = repair(ds, AlgorithmKind.DECISION_TREE, cfg)
     assert res.log.digest() == want.log.digest()
@@ -523,6 +564,86 @@ def test_trial_log_digests_are_pinned(algorithm):
     ds = biased_dataset(2000, 0.3, seed=0)
     cfg = RepairConfig(metric=MetricKind.SPD, trials=11, seed=0)
     assert repair(ds, algorithm, cfg).log.digest() == PINNED_DIGESTS[algorithm]
+
+
+# report_json() of a 25-trial repair of the SURROGATE_DIGESTS input, each
+# returning its kept pipeline, and of a 60-trial logreg repair of
+# biased_dataset(800, 0.3) at seed 1, the one repair to refit its winner
+# among dtree (80 trials), logreg (60) and k-NN (40) repairs of that input
+# at seeds 0-5; recorded while the objective kept the winning pipeline
+REPORT_DIGESTS = {
+    AlgorithmKind.LOGISTIC_REGRESSION: "1a75595873076700",
+    AlgorithmKind.DECISION_TREE: "d3800d9428f2e70e",
+    AlgorithmKind.RANDOM_FOREST: "a9fcb98017243005",
+    AlgorithmKind.GRADIENT_BOOSTING: "cc6fb874f339165e",
+    AlgorithmKind.KNN: "1fa7e0fc55264450",
+}
+REFIT_REPORT_DIGEST = "e2aeace1b310deea"
+
+
+def report_digest(res):
+    return hashlib.sha256(res.report_json().encode("utf-8")).hexdigest()[:16]
+
+
+def replayed_repair(monkeypatch, ds, algorithm, cfg):
+    """repair(ds, algorithm, cfg) and which pipeline it returned. Replays
+    smbo.ranking over the log and the pipelines the objective fitted, and
+    checks that repair() returns the buggy pipeline, else the kept one,
+    else a refit, in that order."""
+    buggy, fitted = [], []  # fitted: each trial's pipeline, None if it fitted none
+    fit_buggy, call = repair_core.fit_buggy, repair_core._TrialObjective.__call__
+
+    def spy_fit_buggy(*args):
+        split_and_buggy = fit_buggy(*args)
+        buggy.append(split_and_buggy[2])
+        return split_and_buggy
+
+    def spy_call(self, cfg):
+        fitted.append(None)
+        outcome = call(self, cfg)
+        fitted[-1] = self.fitted
+        return outcome
+
+    monkeypatch.setattr(repair_core, "fit_buggy", spy_fit_buggy)
+    monkeypatch.setattr(repair_core._TrialObjective, "__call__", spy_call)
+    fits = counting_train(monkeypatch)
+    res = repair(ds, algorithm, cfg)
+    [buggy] = buggy
+    assert len(fitted) == len(res.log.records)
+    kept = None
+    for record, fp in zip(res.log.records, fitted):
+        rank = smbo.ranking(record.beta)
+        if fp is not None and (kept is None or rank(record) < rank(kept[0])):
+            kept = record, fp
+    best = smbo.best(res.log, res.state.beta).config
+    assert res.best_config == best
+    refits = len(fits) - len(distinct_configs(res.log))
+    if best == buggy.config:
+        assert res.pipeline is buggy and refits == 0
+        return res, "buggy"
+    if kept is not None and kept[0].config == best:
+        assert res.pipeline is kept[1] and refits == 0
+        return res, "kept"
+    assert refits == 1 and fits[-1] == repair_core._config_key(best)
+    assert all(res.pipeline is not fp for fp in (buggy, *fitted))
+    return res, "refit"
+
+
+@pytest.mark.parametrize("algorithm", list(REPORT_DIGESTS))
+def test_report_digests_are_pinned_and_the_kept_winner_returned(monkeypatch, algorithm):
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=25, seed=2)
+    ds = biased_dataset(600, 0.3, seed=1)
+    res, returned = replayed_repair(monkeypatch, ds, algorithm, cfg)
+    assert returned == "kept"
+    assert report_digest(res) == REPORT_DIGESTS[algorithm]
+
+
+def test_a_refitted_winner_s_report_digest_is_pinned(monkeypatch):
+    cfg = RepairConfig(metric=MetricKind.SPD, trials=60, seed=1)
+    ds = biased_dataset(800, 0.3)
+    res, returned = replayed_repair(monkeypatch, ds, AlgorithmKind.LOGISTIC_REGRESSION, cfg)
+    assert returned == "refit"
+    assert report_digest(res) == REFIT_REPORT_DIGEST
 
 
 def categorical_ds(n, seed):
