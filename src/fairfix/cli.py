@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 evaluate judged the repair not worth shipping,
 2 usage or cross-file validation error, 3 data error, 4 the input model is
-already fair. Machine-readable output goes to files; stdout carries one
-human summary line per command, stderr a repair report's warnings.
+already fair. Whatever fails a trial inside the search (`FAILED_TRIAL_CAUSES`:
+an undefined metric, arithmetic that overflows) is a data error outside it,
+on the default model or its baseline. Machine-readable output goes to
+files; stdout carries one human summary line per command, stderr a repair
+report's warnings.
 """
 
 from __future__ import annotations
@@ -25,18 +28,11 @@ from .fairea import (
     build_baseline,
     classify_region,
 )
-from .metrics import MetricKind, NonPositiveDI, UndefinedRate
+from .metrics import MetricKind
 from .model_zoo import AlgorithmKind
-from .prune_db import (
-    BuildConfig,
-    Database,
-    MalformedEntry,
-    UnknownVersion,
-    build_entry,
-    load as load_db,
-    save as save_db,
-)
+from .prune_db import BuildConfig, Database, build_entry, load as load_db, save as save_db
 from .repair_core import AlreadyFair, RepairConfig, fit_buggy, repair
+from .smbo import FAILED_TRIAL_CAUSES
 from .tabular import DataError, Schema, load_csv, read_json
 
 log = logging.getLogger("fairfix.cli")
@@ -244,11 +240,10 @@ def main(argv=None) -> int:
     except AlreadyFair as exc:
         print(f"already fair: {exc}", file=sys.stderr)
         return 4
-    # a metric the data leaves undefined fails a trial inside the search;
-    # outside it (the buggy model, the baseline) the input cannot be judged
-    except (
-        DataError, MalformedEntry, UnknownVersion, UndefinedRate, NonPositiveDI, OSError
-    ) as exc:
+    # what fails a trial inside the search (an undefined metric, arithmetic
+    # that overflows) leaves the input unjudged outside it: the buggy model,
+    # the baseline
+    except (DataError, OSError, *FAILED_TRIAL_CAUSES) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -94,20 +94,13 @@ def _build_model(cfg: PipelineConfig, rng: np.random.Generator, X: Layout, y):
     raise ValueError(f"unknown algorithm {a!r}")
 
 
-# components whose fit computes statistics of the training matrix
-_FITTED_STATISTICS = (
-    ComponentKind.STANDARDIZE,
-    ComponentKind.MINMAX,
-    ComponentKind.VARIANCE_TOPK,
-)
-
-
 def train(cfg: PipelineConfig, fm: FeatureMatrix, seed: int) -> FittedPipeline:
     """Fit component and classifier on an encoded training split. A repair
     encodes its split once and passes the FeatureMatrix to every trial.
 
-    A component's statistics depend only on the layout, so each kind is
-    fitted once per FeatureMatrix and applied as fitted on later calls."""
+    A component's fit depends only on the layout and labels, so a kind whose
+    fit kept the training rows is fitted once per FeatureMatrix and applied
+    as fitted on later calls; a Rebalance that repeats rows is refitted."""
     rng = np.random.default_rng(seed)
     X = fm.layout
     if X.shape[1] == 0:
@@ -120,7 +113,7 @@ def train(cfg: PipelineConfig, fm: FeatureMatrix, seed: int) -> FittedPipeline:
         component, Xt, yt = fit_component(
             cfg.component, X, y, f_pre=len(fm.encoder.feature_names)
         )
-        if cfg.component in _FITTED_STATISTICS:
+        if yt is y:  # apply(X) gives Xt: the fit kept the training rows
             fm._components[cfg.component] = component
     model = _build_model(cfg, rng, Xt, yt)
     majority = 1 if int((y == 1).sum()) >= int((y == 0).sum()) else 0

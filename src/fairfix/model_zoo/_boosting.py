@@ -36,12 +36,9 @@ class GradientBoostingModel:
         order = _presort(X, 1)
         for _ in range(self.stages):
             prob = sigmoid(F)
-            if self.subsample < 1.0:
-                taken = np.zeros(n, dtype=bool)
-                taken[rng.choice(n, size=m, replace=False)] = True
-                stage = order[taken[order]].reshape(len(order), m)
-            else:
-                stage = order.copy()
+            taken = np.zeros(n, dtype=bool)
+            taken[rng.choice(n, size=m, replace=False)] = True
+            stage = order[taken[order]].reshape(len(order), m)
             # each leaf takes one Newton step on the logistic loss over its
             # rows: the sum of their residuals over the sum of their Hessians
             tree = RegressionTree(self.max_depth, min_leaf=1).fit(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tabular import Layout
+from ._linear import NumericOverflow
 from ._spaces import ComponentKind
 
 _STAT_CELLS = 1 << 17  # cells per row block of component statistics
@@ -74,23 +75,34 @@ def _mean_var(X: Layout):
     return mean, _per_column(X, np.add, mean) / X.shape[0]
 
 
+def _finite(kind: ComponentKind, *stats):
+    """NumericOverflow unless every statistic is finite: the trial fails."""
+    if not all(np.isfinite(s).all() for s in stats):
+        raise NumericOverflow(f"{kind.value} statistics overflowed")
+
+
 def fit_component(kind: ComponentKind, X: Layout, y: np.ndarray, f_pre: int):
     """Fit on the training layout; returns (component, X_train, y_train)."""
     if kind is ComponentKind.NONE:
         return FittedComponent(kind), X, y
     if kind in (ComponentKind.STANDARDIZE, ComponentKind.MINMAX):
-        if kind is ComponentKind.STANDARDIZE:
-            shift, var = _mean_var(X)
-            scale = np.sqrt(var)
-        else:
-            shift = _per_column(X, np.minimum)
-            scale = _per_column(X, np.maximum) - shift
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind is ComponentKind.STANDARDIZE:
+                shift, var = _mean_var(X)
+                scale = np.sqrt(var)
+            else:
+                shift = _per_column(X, np.minimum)
+                scale = _per_column(X, np.maximum) - shift
+        _finite(kind, shift, scale)
         fc = FittedComponent(kind, shift, np.where(scale == 0.0, 1.0, scale))
         return fc, fc.apply(X), y
     if kind is ComponentKind.VARIANCE_TOPK:
         k = min(top_k_count(f_pre), X.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = _mean_var(X)[1]
+        _finite(kind, var)
         # highest variance first, ties to the lower column index
-        order = np.argsort(-_mean_var(X)[1], kind="stable")[:k]
+        order = np.argsort(-var, kind="stable")[:k]
         fc = FittedComponent(kind, keep=np.sort(order))
         return fc, fc.apply(X), y
     if kind is ComponentKind.REBALANCE:

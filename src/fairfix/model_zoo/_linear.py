@@ -67,8 +67,10 @@ class _Blocks:
         # without blocks every column is dense, and w and g are used whole; a
         # filled tall, narrow matrix multiplies faster in Fortran order
         self.width, self.dense = X.width, np.flatnonzero(dense) if blocks else slice(None)
-        F = np.empty(X.shape, order="F") if X.coded and not blocks else None
-        self.X_dense = X.fill(self.dense if blocks else None, out=F)
+        if blocks:  # C order, which a fancy-indexed numeric matrix is not
+            self.X_dense = np.ascontiguousarray(X.select(self.dense).fill())
+        else:
+            self.X_dense = X.fill(out=np.empty(X.shape, order="F") if X.coded else None)
         self.lo = [c.lo for c in blocks]
         self.step = [c.hi - c.lo for c in blocks]
         self.tables = [np.zeros(len(c.lo) + 1) for c in blocks]

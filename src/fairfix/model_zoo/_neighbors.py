@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._linear import NumericOverflow
+
 # most squared distances held at once: a block of query rows takes
 # _BLOCK_VALUES // n_train rows (at least one), so its distance matrix holds
 # at most 8.4 MB however many rows are queried. The block's partial sort,
@@ -21,15 +23,11 @@ _BLOCK_VALUES = 1 << 20
 
 def _nearest(d2, k):
     """The k columns of each row of d2 that a stable argsort puts first:
-    nearest first, equal distances by column. NaN sorts last."""
+    nearest first, equal distances by column."""
     rows, n = d2.shape
     kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
     below = d2 < kth
     tied = d2 == kth
-    nan = np.isnan(kth[:, 0])
-    if nan.any():
-        below[nan] = ~np.isnan(d2[nan])
-        tied[nan] = ~below[nan]
     # of the columns at the k-th distance, the first ones by column
     tied &= np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)
     chosen = np.flatnonzero(below | tied).reshape(rows, k) % n
@@ -52,7 +50,8 @@ class KNNModel:
     def predict(self, X):
         A = self.X.fill()
         X = X.fill()
-        sq = (A * A).sum(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = (A * A).sum(1)
         rows = max(1, _BLOCK_VALUES // len(self.y))
         out = np.empty(len(X), dtype=np.int8)
         for start in range(0, len(X), rows):
@@ -62,7 +61,10 @@ class KNNModel:
 
     def _vote(self, X, A, sq):
         k = min(self.k, len(self.y))
-        d2 = (X * X).sum(1)[:, None] + sq[None, :] - 2.0 * X @ A.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = (X * X).sum(1)[:, None] + sq[None, :] - 2.0 * X @ A.T
+        if not np.isfinite(d2).all():  # an overflowed norm or product
+            raise NumericOverflow("k-NN distances overflowed")
         np.maximum(d2, 0.0, out=d2)
         nbr = _nearest(d2, k)
         labels = self.y[nbr]

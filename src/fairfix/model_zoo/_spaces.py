@@ -211,6 +211,10 @@ class PipelineConfig:
     component: ComponentKind
     params: dict
 
+    def __hash__(self):
+        # equal configs hash equal, as the dataclass == compares params whole
+        return hash((self.algorithm, self.component, tuple(sorted(self.params.items()))))
+
     def to_dict(self) -> dict:
         return {
             "algorithm": self.algorithm.value,

@@ -32,11 +32,11 @@ from .tabular import DataCharacteristics, DataError, Dataset, characteristics, r
 DB_VERSION = "fairfix-db/1"
 
 
-class UnknownVersion(ValueError):
+class UnknownVersion(DataError):
     """Database file carries a version tag this build cannot read."""
 
 
-class MalformedEntry(ValueError):
+class MalformedEntry(DataError):
     def __init__(self, index: int, reason: str):
         super().__init__(f"entry {index}: {reason}")
         self.index = index
@@ -285,27 +285,12 @@ def match_input(
     """Nearest dataset, then nearest lower bound, then exact algorithm.
 
     Absence is a legal outcome; the caller falls back to the default space.
-    All ties resolve to the earliest inserted entry.
+    All ties resolve to the earliest inserted entry, as `min` keeps the
+    first of equal keys.
     """
     if not db.entries:
         return None
-
-    best_dataset = None
-    best_dist = None
-    for e in db.entries:
-        d = abs(e.p - chars.p) + abs(e.f - chars.f)
-        if best_dist is None or d < best_dist:
-            best_dataset, best_dist = e.dataset, d
-
-    candidates = [e for e in db.entries if e.dataset == best_dataset]
-    best_attr = None
-    best_gap = None
-    for e in candidates:
-        gap = abs(e.L - L)
-        if best_gap is None or gap < best_gap:
-            best_attr, best_gap = e.protected, gap
-
-    for e in candidates:
-        if e.protected == best_attr and e.algorithm is algorithm:
-            return e
-    return None
+    near = min(db.entries, key=lambda e: abs(e.p - chars.p) + abs(e.f - chars.f))
+    same = [e for e in db.entries if e.dataset == near.dataset]
+    attr = min(same, key=lambda e: abs(e.L - L)).protected
+    return next((e for e in same if e.protected == attr and e.algorithm is algorithm), None)

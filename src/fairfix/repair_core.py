@@ -66,20 +66,13 @@ def beta_lower_bound(a1: float, a0: float, f1: float) -> float:
     """Smallest beta at which the buggy model stops beating the pseudo model.
 
     At beta = L the buggy model's cost equals the pseudo cost exactly; below
-    it, accuracy alone would keep the buggy model the winner.
+    it, accuracy alone would keep the buggy model the winner. Requires
+    f1 >= FAIRNESS_TOLERANCE: below it, repair() raises AlreadyFair first.
     """
-    if f1 < FAIRNESS_TOLERANCE and a1 > a0:
-        raise AlreadyFair(
-            f"bias {f1!r} is below tolerance and accuracy beats the pseudo model"
-        )
     num = a1 - a0
     den = num + f1
-    if den == 0.0:
-        if num == 0.0:
-            raise ValueError("lower bound undefined: f1 = 0 and a1 = a0")
-        raw = 0.0  # num < 0 with f1 = -num: the ratio is negative in the limit
-    else:
-        raw = num / den
+    # den is 0 only when num < 0 and f1 = -num: the ratio is negative in the limit
+    raw = num / den if den else 0.0
     return min(max(raw, 0.0), 1.0 - EPSILON)
 
 
@@ -219,8 +212,8 @@ class _TrialObjective:
     A trial fits on the encoded train matrix and scores on the encoded val
     matrix; no cell is re-parsed. Training reseeds from `seed`, so a config
     always ends the same way: each outcome, a score or the exception of a
-    failed trial, is kept under the config's canonical JSON, and a repeated
-    config is looked up, not refitted. `fitted` is the pipeline the last
+    failed trial, is kept under the config itself, and a repeated config is
+    looked up, not refitted. `fitted` is the pipeline the last
     call fitted, None when that call looked its outcome up or failed.
     """
 
@@ -237,29 +230,24 @@ class _TrialObjective:
         yhat = predict(fp, val)
         acc = accuracy(val.y, yhat)
         bias = bias_value(self.kind, val.y, yhat, val.z)
-        self.outcomes[_config_key(fp.config)] = acc, bias
+        self.outcomes[fp.config] = acc, bias
         return acc, bias
 
     def __call__(self, cfg: PipelineConfig):
         self.fitted = None
-        key = _config_key(cfg)
-        if key not in self.outcomes:
+        if cfg not in self.outcomes:
             try:
                 fp = train(cfg, self.train_fm, seed=self.seed)
                 self.score(fp)
             except smbo.FAILED_TRIAL_CAUSES as exc:
-                self.outcomes[key] = exc
+                self.outcomes[cfg] = exc
             else:
                 self.fitted = fp
-        known = self.outcomes[key]
+        known = self.outcomes[cfg]
         if isinstance(known, Exception):
             # raised without its traceback, which holds the failed fit's arrays
             raise known.with_traceback(None)
         return known
-
-
-def _config_key(cfg: PipelineConfig) -> str:
-    return json.dumps(cfg.to_dict(), sort_keys=True)
 
 
 def _group_warnings(z) -> tuple:

@@ -426,18 +426,16 @@ class Layout:
             at[c.start : c.start + len(c.lo)] = False
         self.numeric_at = np.flatnonzero(at)  # the numeric columns' places
 
-    def fill(self, cols=None, out=None) -> np.ndarray:
-        """The dense matrix of the columns at sorted indices `cols`, or of all
-        with None, written to `out` if given; else a new C-contiguous matrix,
-        or the numeric matrix itself if `cols` is None and none is coded."""
-        X = self if cols is None else self.select(cols)
+    def fill(self, out=None) -> np.ndarray:
+        """The dense matrix, written to `out` if given; else a new
+        C-contiguous matrix, or the numeric matrix itself if none is coded."""
         if out is None:
-            if not X.coded:
-                return X.numeric if cols is None else np.ascontiguousarray(X.numeric)
-            out = np.empty(X.shape)
-        out[...] = X.lo
-        out[:, X.numeric_at] = X.numeric
-        for c in X.coded:
+            if not self.coded:
+                return self.numeric
+            out = np.empty(self.shape)
+        out[...] = self.lo
+        out[:, self.numeric_at] = self.numeric
+        for c in self.coded:
             hot = np.flatnonzero(c.codes)
             col = c.codes[hot].astype(np.intp)
             col -= 1

@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -692,6 +693,49 @@ def test_undefined_metric_outside_a_trial_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err, argv
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def huge_cells(tmp_path_factory):
+    """The 300-row fixture with every 7th x1 cell set to `value`, one CSV
+    per value, beside the fixture's schema."""
+    root = tmp_path_factory.mktemp("huge")
+    write_fixture(root, rows=300)
+    header, *rows = list(csv.reader(io.StringIO((root / "data.csv").read_text(encoding="utf-8"))))
+    for name, value in HUGE_CELLS.items():
+        edited = [[value, *row[1:]] if i % 7 == 0 else row for i, row in enumerate(rows)]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([header, *edited])
+        (root / f"{name}.csv").write_text(text.getvalue(), encoding="utf-8")
+    return root
+
+
+HUGE_CELLS = {"plus-1e300": "1e300", "minus-1e300": "-1e300", "1e154": "1e154"}
+
+
+@pytest.mark.parametrize("model", ["dtree", "logreg", "knn", "rforest", "gboost"])
+@pytest.mark.parametrize("command", ["repair", "baseline"])
+@pytest.mark.parametrize("name", list(HUGE_CELLS))
+def test_overflowing_arithmetic_exits_0_or_3_without_a_warning(
+    huge_cells, tmp_path, name, command, model
+):
+    # inside the search an overflow (logreg's logits, k-NN's distances, a
+    # component's statistics) fails one trial; on the buggy model or in the
+    # baseline it leaves the input without a verdict: exit 3. A squared
+    # 1e154 overflows only in k-NN's distance sums
+    out = tmp_path / "out.json"
+    argv = [command, "--data", str(huge_cells / f"{name}.csv"),
+            "--schema", str(huge_cells / "schema.json"),
+            "--model", model, "--metric", "spd", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = run_quietly(argv + (["--trials", "12"] if command == "repair" else []))
+    want = 3 if model == "knn" or (model == "logreg" and name != "1e154") else 0
+    assert code == want, err
+    assert "Traceback" not in err
+    assert out.exists() == (code == 0)
+    if code == 3:
+        assert err.startswith("data error:") and "overflowed" in err, err
 
 
 def test_usage_errors_exit_2(corpus, tmp_path, capsys):

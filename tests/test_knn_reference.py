@@ -8,10 +8,12 @@ then agree bit for bit.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairfix.model_zoo import _neighbors
+from fairfix.model_zoo._linear import NumericOverflow
 from fairfix.model_zoo._neighbors import KNNModel
 from fairfix.tabular import Layout
 
@@ -95,15 +97,15 @@ def test_block_rows_follow_the_training_size():
     assert got.tobytes() == brute_force_predict(X_train, y, X, 3, "distance").tobytes()
 
 
-def test_overflowing_distances_sort_last_as_in_the_brute_force():
-    # squares of 1e200 overflow, so these rows' distances are NaN, which a
-    # stable sort puts last, in row order
+def test_overflowing_distances_fail_the_prediction():
+    # squares of 1e200 overflow to inf, and inf - inf is NaN: no distance to
+    # rank neighbours by, so predict fails the trial rather than vote on it
     X_train = np.array([[0.0], [1e200], [1.0], [-1e200], [2.0], [1e200]])
     y = np.array([1, 0, 1, 0, 0, 1])
-    X = np.array([[0.5], [1e200], [-3.0]])
-    with np.errstate(all="ignore"):
-        for k in range(1, 8):
+    finite = X_train[[0, 2, 4]]
+    for train, X in ((X_train, [[0.5], [-3.0]]), (finite, [[0.5], [1e200]])):
+        for k in (1, 3, 7):
             for weights in ("uniform", "distance"):
-                got = KNNModel(k, weights).fit(Layout(X_train), y).predict(Layout(X))
-                want = brute_force_predict(X_train, y, X, k, weights)
-                assert got.tolist() == want.tolist()
+                model = KNNModel(k, weights).fit(Layout(train), y[: len(train)])
+                with pytest.raises(NumericOverflow, match="distances overflowed"):
+                    model.predict(Layout(np.array(X)))

@@ -1,5 +1,6 @@
 """Spaces, sampling, native classifiers, and component behavior."""
 
+import json
 import math
 import tracemalloc
 
@@ -91,6 +92,27 @@ def test_sampling_in_domain():
             assert cfg.component in space.components
             for p in space.params:
                 assert p.contains(cfg.params[p.name]), (a, p.name, cfg.params[p.name])
+
+
+@pytest.mark.parametrize("algorithm", list(AlgorithmKind))
+def test_configs_are_equal_exactly_when_their_json_is_and_equal_ones_hash_alike(algorithm):
+    # a repair keys each trial's outcome by its config: == and hash must
+    # agree with the canonical JSON that names a config in logs and reports
+    space = default_space(algorithm)
+    rng = np.random.default_rng(5)
+    configs = [decode_config(sample(space, rng), space) for _ in range(200)]
+    # the same configs with their params in the other order
+    configs += [PipelineConfig(c.algorithm, c.component, dict(reversed(c.params.items())))
+                for c in configs[:50]]
+    keys = [json.dumps(c.to_dict(), sort_keys=True) for c in configs]
+    equal = 0
+    for a, key_a in zip(configs, keys):
+        for b, key_b in zip(configs, keys):
+            assert (a == b) == (key_a == key_b)
+            if a == b:
+                assert hash(a) == hash(b)
+                equal += 1
+    assert equal >= len(configs) + 2 * 50
 
 
 def test_sampling_deterministic():

@@ -373,6 +373,53 @@ def test_match_agrees_with_exhaustive_scan():
             assert dataset_best == best
 
 
+def three_pass_match(db, chars, L, algorithm):
+    """match_input as three explicit passes, each strict `<` keeping the
+    earliest of tied entries: the oracle for its `min` form."""
+    if not db.entries:
+        return None
+    best_dataset = best_dist = None
+    for e in db.entries:
+        d = abs(e.p - chars.p) + abs(e.f - chars.f)
+        if best_dist is None or d < best_dist:
+            best_dataset, best_dist = e.dataset, d
+    candidates = [e for e in db.entries if e.dataset == best_dataset]
+    best_attr = best_gap = None
+    for e in candidates:
+        gap = abs(e.L - L)
+        if best_gap is None or gap < best_gap:
+            best_attr, best_gap = e.protected, gap
+    for e in candidates:
+        if e.protected == best_attr and e.algorithm is algorithm:
+            return e
+    return None
+
+
+def test_match_equals_the_three_pass_scan_under_ties():
+    # few distinct characteristics and bounds, so distances and gaps tie
+    # often; a dataset name recurs at other characteristics
+    rng = np.random.default_rng(11)
+    algorithms = list(AlgorithmKind)[:3]
+    matched = 0
+    for _ in range(200):
+        entries = tuple(
+            entry(dataset=f"d{rng.integers(3)}", p=int(rng.integers(1, 4)) * 10,
+                  f=int(rng.integers(1, 4)), protected=f"a{rng.integers(3)}",
+                  L=float(rng.choice([0.1, 0.3, 0.5])),
+                  algorithm=algorithms[rng.integers(3)])
+            for _ in range(rng.integers(0, 12))
+        )
+        db = Database(entries=entries)
+        for _ in range(5):
+            chars = DataCharacteristics(p=int(rng.integers(0, 5)) * 10, f=int(rng.integers(0, 5)))
+            L = float(rng.choice([0.0, 0.2, 0.3, 0.4]))
+            for algorithm in algorithms:
+                got = match_input(db, chars, L, algorithm)
+                assert got is three_pass_match(db, chars, L, algorithm)
+                matched += got is not None
+    assert matched > 500  # the cases exercise matches, not only misses
+
+
 # ---------------------------------------------------------------------------
 # building
 
